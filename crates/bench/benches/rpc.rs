@@ -7,8 +7,8 @@
 //!   the rendezvous cutoff), across a packet-loss ladder. The
 //!   retry machinery is part of the measurement: at every surveyed loss
 //!   rate each call must still *resolve successfully*, so the p99 column
-//!   is exactly the price of the recovery schedule (attempt timers,
-//!   backoff), not of abandoned calls.
+//!   is exactly the price of the recovery schedule (NIC retransmission,
+//!   attempt timers, backoff), not of abandoned calls.
 //! * **Failover blackout** — the replicated KV store's write-availability
 //!   gap when the primary's node is killed mid-workload: virtual time
 //!   from the kill instant to (a) the backup's promotion and (b) the
@@ -24,6 +24,7 @@
 use std::sync::{Arc, Mutex};
 
 use knet::prelude::*;
+use knet::workload::percentile_us;
 use knet::ClusterEv;
 use knet_simnic::FaultPlan;
 
@@ -55,11 +56,6 @@ impl Config {
 /// channel-layer affair.
 const SIZES: &[u64] = &[64, 1024, 32_000];
 const LOSS_PCTS: &[u64] = &[0, 1, 5, 10];
-
-fn percentile_us(sorted_ns: &[u64], p: f64) -> f64 {
-    let idx = ((sorted_ns.len() as f64 - 1.0) * p).round() as usize;
-    sorted_ns[idx] as f64 / 1e3
-}
 
 // ---------------------------------------------------------------- echo
 

@@ -20,12 +20,11 @@
 //!
 //! Scale knobs (env): `TAIL_SCALE_PCT` (client population percentage,
 //! default 100 ⇒ ~20 000 clients), `TAIL_HORIZON_MS` (arrival window,
-//! default 400), `TAIL_SEED` (default 0x7A11), `TAIL_SHARDS` (default 1:
-//! sequential; >1 runs the sharded engine — same numbers, different
-//! wall-clock), `TAIL_OUT` (output path, default `BENCH_tail.json`).
+//! default 400), `TAIL_SEED` (default 0x7A11), `TAIL_OUT` (output path,
+//! default `BENCH_tail.json`).
 
 use knet::build::ClusterBuilder;
-use knet::workload::{run_sharded, run_solo, ClassReport, ClassSpec, WorkloadSpec};
+use knet::workload::{run_solo, ClassReport, ClassSpec, WorkloadSpec};
 use knet_simcore::SimTime;
 use knet_simos::{CpuModel, NodeId};
 
@@ -40,7 +39,6 @@ struct Config {
     scale_pct: u64,
     horizon_ms: u64,
     seed: u64,
-    shards: usize,
 }
 
 impl Config {
@@ -49,7 +47,6 @@ impl Config {
             scale_pct: env_u64("TAIL_SCALE_PCT", 100).max(1),
             horizon_ms: env_u64("TAIL_HORIZON_MS", 400).max(10),
             seed: env_u64("TAIL_SEED", 0x7A11),
-            shards: env_u64("TAIL_SHARDS", 1).max(1) as usize,
         }
     }
 
@@ -151,14 +148,8 @@ fn blast_class(cfg: &Config) -> ClassSpec {
     }
 }
 
-fn run(cfg: &Config, spec: &WorkloadSpec) -> Vec<ClassReport> {
-    if cfg.shards > 1 {
-        let mut shards = builder().build_sharded(cfg.shards);
-        run_sharded(&mut shards, spec)
-    } else {
-        let mut w = builder().build();
-        run_solo(&mut w, spec)
-    }
+fn run(spec: &WorkloadSpec) -> Vec<ClassReport> {
+    run_solo(&mut builder().build(), spec)
 }
 
 fn report_json(r: &ClassReport, cls: &ClassSpec) -> String {
@@ -185,14 +176,14 @@ fn report_json(r: &ClassReport, cls: &ClassSpec) -> String {
 fn main() {
     let cfg = Config::from_env();
     eprintln!(
-        "tail: scale={}% horizon={}ms seed={:#x} shards={}",
-        cfg.scale_pct, cfg.horizon_ms, cfg.seed, cfg.shards
+        "tail: scale={}% horizon={}ms seed={:#x}",
+        cfg.scale_pct, cfg.horizon_ms, cfg.seed
     );
 
     // ---- mixed phase ----
     let mixed = mixed_classes(&cfg);
     let mixed_spec = spec(&cfg, mixed.clone());
-    let mixed_reports = run(&cfg, &mixed_spec);
+    let mixed_reports = run(&mixed_spec);
     for r in &mixed_reports {
         eprintln!(
             "mixed/{:<12} sent {:>6} done {:>6} shed {:>5}  p50 {:>9.1}us  p99 {:>9.1}us  p999 {:>9.1}us",
@@ -203,8 +194,8 @@ fn main() {
     // ---- isolation phase ----
     let victim = victim_class(&cfg);
     let blast = blast_class(&cfg);
-    let base_reports = run(&cfg, &spec(&cfg, vec![victim.clone()]));
-    let cont_reports = run(&cfg, &spec(&cfg, vec![victim.clone(), blast.clone()]));
+    let base_reports = run(&spec(&cfg, vec![victim.clone()]));
+    let cont_reports = run(&spec(&cfg, vec![victim.clone(), blast.clone()]));
     let base_v = &base_reports[0];
     let cont_v = &cont_reports[0];
     let cont_b = &cont_reports[1];
@@ -228,8 +219,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n  \"bench\": \"tail\",\n");
     json.push_str(&format!(
-        "  \"config\": {{\"scale_pct\": {}, \"horizon_ms\": {}, \"seed\": {}, \"shards\": {}}},\n",
-        cfg.scale_pct, cfg.horizon_ms, cfg.seed, cfg.shards
+        "  \"config\": {{\"scale_pct\": {}, \"horizon_ms\": {}, \"seed\": {}}},\n",
+        cfg.scale_pct, cfg.horizon_ms, cfg.seed
     ));
     json.push_str("  \"mixed\": {\n    \"tenants\": [\n");
     let rows: Vec<String> = mixed_reports

@@ -332,8 +332,8 @@ fn begin_op<W: CollWorld>(
         }
     };
     // Contexts are a pure function of (class, member node, per-member seq)
-    // rather than a shared counter, so every shard of a partitioned run
-    // derives the exact ctx the sequential engine would have handed out.
+    // rather than a shared counter, so a member's ctx never depends on
+    // what other members did first.
     let ctx = ctx_for(class, ep.node.0, seq);
     s.pending.insert((class, seq, ep.node.0), ctx);
     s.stats.started += 1;

@@ -171,23 +171,17 @@ pub struct RegistryStats {
     /// In-NIC lane combines performed by the tree engines.
     pub coll_combines: u64,
     /// Mirrors of the event-engine counters (`knet_simcore::EngineStats`),
-    /// summed over every shard by the composed world's stats snapshot.
-    /// Zero in a bare registry.
+    /// filled by the composed world's stats snapshot. Zero in a bare
+    /// registry.
     ///
-    /// Events executed by the scheduler(s).
+    /// Events executed by the scheduler.
     pub engine_events: u64,
-    /// Epoch barriers crossed by the parallel engine (0 sequential).
-    pub engine_epochs: u64,
-    /// Cross-shard messages injected through ingress mailboxes.
-    pub engine_mailbox_injected: u64,
-    /// Deepest single-epoch mailbox drain observed on any shard.
-    pub engine_mailbox_high_water: u64,
     /// Event-arena slots handed out (recycled or fresh).
     pub engine_arena_uses: u64,
     /// Event-arena slot allocations that grew the arena (steady state: 0).
     pub engine_arena_grows: u64,
-    /// Typed engine errors recorded (time regression / causality breach).
-    /// Non-zero means a shard-engine invariant broke — fail the run.
+    /// Typed engine errors recorded (clock regression). Non-zero means an
+    /// engine invariant broke — fail the run.
     pub engine_errors: u64,
     /// Queued-but-unobserved `RecvDone` completions withdrawn from a CQ by
     /// [`channel_cancel_recv`](crate::api::channel_cancel_recv) winning the
@@ -878,26 +872,11 @@ impl<W> Registry<W> {
     }
 
     /// Fold every channel's WDRR scheduler state into a fingerprint
-    /// accumulator — the shard-equivalence hook (`tests/sched_equivalence`
-    /// mixes this next to the event stream so per-tenant queueing cannot
-    /// silently diverge across shard counts).
+    /// accumulator — the determinism hook (`tests/determinism.rs` mixes
+    /// this next to the event stream so per-tenant queueing cannot
+    /// silently drift).
     pub fn wdrr_fingerprint(&self, mut mix: impl FnMut(u64)) {
         for (id, c) in &self.channels {
-            mix(*id as u64);
-            mix(c.tenant.0 as u64);
-            c.pending.fingerprint(&mut mix);
-        }
-    }
-
-    /// [`Self::wdrr_fingerprint`] restricted to channels whose local
-    /// endpoint lives on `node` — the shard-invariant form: a node's
-    /// channel state is authoritative only on the shard world owning the
-    /// node, so equivalence tests fold each node's slice from its owner.
-    pub fn wdrr_fingerprint_node(&self, node: u32, mut mix: impl FnMut(u64)) {
-        for (id, c) in &self.channels {
-            if c.local.node.0 != node {
-                continue;
-            }
             mix(*id as u64);
             mix(c.tenant.0 as u64);
             c.pending.fingerprint(&mut mix);

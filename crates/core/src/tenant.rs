@@ -17,9 +17,9 @@
 //!   pre-tenant code.
 //! * **Determinism:** all state is integer, rotation order is by dense
 //!   lane index, and nothing reads wall-clock time — the drain order is a
-//!   pure function of the push/pop history, which keeps the sharded
-//!   engine's bit-identical replay guarantee intact (the WDRR state is
-//!   folded into `tests/sched_equivalence.rs` fingerprints).
+//!   pure function of the push/pop history, which keeps every run
+//!   bit-identical per seed (the WDRR state is folded into the
+//!   `tests/determinism.rs` golden fingerprints).
 
 use std::collections::VecDeque;
 
@@ -418,7 +418,7 @@ impl<T> WdrrLanes<T> {
     }
 
     /// Fold the scheduler's state into a fingerprint accumulator (lane
-    /// lengths + deficits + cursor), for shard-equivalence checks.
+    /// lengths + deficits + cursor), for determinism checks.
     pub fn fingerprint(&self, mut mix: impl FnMut(u64)) {
         mix(self.len as u64);
         mix(self.cursor as u64);

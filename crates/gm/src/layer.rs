@@ -269,10 +269,8 @@ pub struct GmLayer {
     pub params: GmParams,
     ports: Vec<GmPort>,
     /// In-flight reassemblies keyed `(dst port, src port, msg id)`.
-    /// `msg_id` alone is only unique per *sending* world — under sharded
-    /// execution every shard mints its own sequence, so two senders
-    /// converging on one receiver can collide on it. The source port
-    /// (carried in the wire meta) disambiguates.
+    /// The source port (carried in the wire meta) is part of the key, so
+    /// a reassembly is named by its sender as well as by its message id.
     assemblies: BTreeMap<(u32, u32, u64), Assembly>,
     next_msg_id: u64,
     /// Recycled per-operation buffers (see [`GmScratch`]).
@@ -340,19 +338,10 @@ impl GmLayer {
     }
 
     /// Fold pacing-lane scheduler state into a fingerprint accumulator
-    /// (shard-equivalence hook).
+    /// (determinism hook).
     pub fn paced_fingerprint(&self, mut mix: impl FnMut(u64)) {
         for (nic, lanes) in &self.paced {
             mix(nic.0 as u64);
-            lanes.fingerprint(&mut mix);
-        }
-    }
-
-    /// [`Self::paced_fingerprint`] restricted to one NIC — the
-    /// shard-invariant slice (a NIC's pacing lanes are only touched by the
-    /// shard owning its node).
-    pub fn paced_fingerprint_nic(&self, nic: NicId, mut mix: impl FnMut(u64)) {
-        if let Some(lanes) = self.paced.get(&nic) {
             lanes.fingerprint(&mut mix);
         }
     }

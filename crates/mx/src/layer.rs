@@ -278,10 +278,8 @@ pub struct MxLayer {
     pub params: MxParams,
     endpoints: Vec<MxEndpoint>,
     /// In-flight reassemblies keyed `(dst endpoint, src endpoint, msg id)`.
-    /// `msg_id` alone is only unique per *sending* world — under sharded
-    /// execution every shard mints its own sequence, so two senders
-    /// converging on one receiver can collide on it. The source endpoint
-    /// (carried in the wire meta) disambiguates.
+    /// The source endpoint (carried in the wire meta) is part of the key, so
+    /// a reassembly is named by its sender as well as by its message id.
     eager: BTreeMap<(u32, u32, u64), EagerAssembly>,
     rndv_send: BTreeMap<u64, RndvSend>,
     rndv_recv: BTreeMap<(u32, u32, u64), RndvRecv>,
@@ -346,15 +344,6 @@ impl MxLayer {
     pub fn paced_fingerprint(&self, mut mix: impl FnMut(u64)) {
         for (nic, lanes) in &self.paced {
             mix(nic.0 as u64);
-            lanes.fingerprint(&mut mix);
-        }
-    }
-
-    /// [`Self::paced_fingerprint`] restricted to one NIC — the
-    /// shard-invariant slice (a NIC's pacing lanes are only touched by the
-    /// shard owning its node).
-    pub fn paced_fingerprint_nic(&self, nic: NicId, mut mix: impl FnMut(u64)) {
-        if let Some(lanes) = self.paced.get(&nic) {
             lanes.fingerprint(&mut mix);
         }
     }

@@ -24,7 +24,7 @@
 //!   never reused under an active transfer);
 //! * a **retry policy engine** ([`RetryPolicy`]): per-attempt timers,
 //!   exponential backoff with equal jitter drawn from a per-client seeded
-//!   [`SplitMix64`] stream (deterministic per seed, shard-invariant), and
+//!   [`SplitMix64`] stream (deterministic per seed), and
 //!   idempotency keys so retried writes are answered exactly once from
 //!   the server's reply cache;
 //! * **typed errors** ([`RpcError`]) instead of hangs: every submitted
@@ -170,7 +170,7 @@ impl RetryPolicy {
     /// Equal-jitter exponential backoff after transmission `attempt`
     /// (1-based): uniform in `[b/2, b)` where `b = min(base << (attempt -
     /// 1), max)`. Drawn from the client's seeded stream — deterministic
-    /// per seed, independent of shard count.
+    /// per seed.
     fn backoff(&self, rng: &mut SplitMix64, attempt: u32) -> SimTime {
         let shift = attempt.saturating_sub(1).min(16);
         let b = self

@@ -1,10 +1,9 @@
 //! # knet-simcore — deterministic discrete-event engine
 //!
 //! The foundation of the `knet` cluster model: a nanosecond-resolution virtual
-//! clock, a shard-aware event scheduler generic over the composed *world*
-//! type, a conservative-lookahead parallel epoch engine, timed
-//! serially-reusable resources (links, DMA engines, CPUs), and small
-//! statistics helpers shared by the benchmark harness.
+//! clock, a sequential event scheduler generic over the composed *world*
+//! type, timed serially-reusable resources (links, DMA engines, CPUs), and
+//! small statistics helpers shared by the benchmark harness.
 //!
 //! Design notes:
 //!
@@ -17,20 +16,17 @@
 //!   implements every trait. No layer ever depends on its users.
 //! * **Determinism.** Events are ordered by `(time, origin, origin_seq)` —
 //!   each scheduling *stream* (a node's event cascade, or the control code
-//!   between events) carries its own monotone counter. The order is total,
-//!   reproducible, and — because every event is executed by exactly one
-//!   shard and cross-shard messages carry their keys — identical whether
-//!   the cluster runs on one thread or many ([`engine`]). Tests rely on
-//!   this.
-//! * **Typed engine errors.** Invariant violations (clock regression,
-//!   lookahead/causality breaches) are recorded as [`EngineError`] values
-//!   surfaced through engine stats, so release-mode shard bugs fail loudly
-//!   instead of silently reordering.
+//!   between events) carries its own monotone counter. The order is total
+//!   and reproducible: the key is the same-instant tie-break contract that
+//!   every pinned virtual-time number and golden fingerprint relies on
+//!   (`tests/determinism.rs`).
+//! * **Typed engine errors.** A clock regression is recorded as an
+//!   [`EngineError`] value surfaced through engine stats, so a release-mode
+//!   scheduler bug fails loudly instead of silently reordering.
 //! * **No wall-clock anywhere.** All figures produced by the benchmark
 //!   harness are virtual-time measurements of the modeled 2005 hardware, not
 //!   host-machine timings.
 
-pub mod engine;
 pub mod lru;
 pub mod resource;
 pub mod rng;
@@ -38,14 +34,13 @@ pub mod sched;
 pub mod stats;
 pub mod time;
 
-pub use engine::{run_shards_to_quiescence, EpochReport};
 pub use lru::LruSlab;
 pub use resource::{Busy, LaneBank};
 pub use rng::SplitMix64;
 pub use sched::{
     call_after, call_at, call_now, emit_after, emit_at, now, run_to_quiescence, run_until,
-    run_until_budgeted, step, BoxEvent, EngineError, EngineStats, OutMsg, RunOutcome, Scheduler,
-    ShardPhase, SimEvent, SimWorld, CONTROL_ORIGIN, DEFAULT_EVENT_BUDGET,
+    run_until_budgeted, step, BoxEvent, EngineError, EngineStats, RunOutcome, Scheduler, SimEvent,
+    SimWorld, CONTROL_ORIGIN, DEFAULT_EVENT_BUDGET,
 };
 pub use stats::{pow2_sizes, Series, SeriesPoint, Summary};
 pub use time::{Bandwidth, SimTime};

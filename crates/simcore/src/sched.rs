@@ -1,5 +1,5 @@
-//! The discrete-event scheduler: typed events, recycled arenas, and
-//! shard-aware deterministic ordering.
+//! The discrete-event scheduler: typed events, recycled arenas, and a
+//! deterministic total order.
 //!
 //! The engine is generic over the *world* type `W`: every layer of the stack
 //! (host OS, NIC hardware, GM/MX drivers, file system, socket layer) stores
@@ -14,24 +14,15 @@
 //!   running between events);
 //! * `origin_seq` — a per-origin monotone counter.
 //!
-//! The per-origin key is what makes sharded execution bit-identical to the
-//! sequential order: a node's schedules are totally ordered by its own
-//! counter, every event is executed by exactly one shard (the one owning its
-//! target node), and cross-shard messages carry their key with them, so the
-//! destination heap merges to the same total order no matter how many
-//! threads the cluster is split across. Two events are never keyed equally:
-//! same-origin events differ in `origin_seq`, different origins differ in
-//! `origin`.
-//!
-//! Sharding itself is cooperative: a scheduler configured as shard `i` of
-//! `k` keeps only events targeting nodes it owns (`node % k == i`). Foreign
-//! targets either go to the outbox (routed mode — the parallel engine and
-//! the sharded harness exchange them into the owning shard's ingress
-//! mailbox) or are dropped (mirror mode — identical setup code runs on
-//! every shard, so each shard already scheduled its own copy). A solo
-//! scheduler (`k == 1`) owns everything and none of this machinery is
-//! exercised. See [`crate::engine`] for the conservative-lookahead epoch
-//! loop that steps shards on real threads.
+//! The key is the determinism contract. It decides every same-instant tie:
+//! node streams run before the control stream, lower node ids first, and
+//! within one stream in scheduling order. Two events are never keyed
+//! equally (same-origin events differ in `origin_seq`, different origins
+//! differ in `origin`), so the order is total and a run is a pure function
+//! of its seed. Every committed virtual-time ledger and every determinism
+//! fingerprint depends on this exact tie-break; replacing it with, say, one
+//! global insertion counter would reorder same-instant events and move
+//! those numbers.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -166,81 +157,37 @@ impl Ord for Entry {
 
 // -------------------------------------------------------- errors / stats
 
-/// A typed engine invariant violation. Promoted from the old
-/// `debug_assert!` so release-mode shard bugs fail loudly (surfaced through
-/// `stats_snapshot()` and [`Scheduler::engine_error`]) instead of silently
-/// reordering events.
+/// A typed engine invariant violation, recorded instead of only
+/// `debug_assert!`ed so a release-mode scheduler bug fails loudly (surfaced
+/// through `stats_snapshot()` and [`Scheduler::engine_error`]) instead of
+/// silently reordering events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineError {
     /// An event popped with a timestamp before the clock — the heap order
     /// was violated (memory corruption or a scheduler bug).
     TimeRegression { at: SimTime, now: SimTime },
-    /// A cross-shard message arrived timestamped before the destination
-    /// shard's clock — the epoch lookahead was larger than some link's
-    /// actual latency, so conservative parallel execution is unsound for
-    /// this topology.
-    CausalityViolation {
-        at: SimTime,
-        now: SimTime,
-        node: u32,
-    },
 }
 
-/// Per-shard engine counters, mirrored into the registry snapshot
+/// Engine counters, mirrored into the registry snapshot
 /// (`stats_snapshot()`) alongside `RelStats` and the collective counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Events executed by this shard.
+    /// Events executed.
     pub executed: u64,
-    /// Events currently pending in this shard's heap.
+    /// Events currently pending in the heap.
     pub pending: u64,
-    /// Epochs this shard has stepped through under the parallel engine.
-    pub epochs: u64,
-    /// Cross-shard messages injected into this shard's ingress mailbox.
-    pub mailbox_injected: u64,
-    /// Largest single mailbox exchange observed (depth high-water mark).
-    pub mailbox_high_water: u64,
     /// Events placed in the arena (allocation-free when `arena_grows`
     /// stays flat while this climbs).
     pub arena_uses: u64,
     /// Arena slab expansions — flat in steady state.
     pub arena_grows: u64,
-    /// Events dropped in mirror mode (foreign targets scheduled by
-    /// mirrored setup code; each shard keeps only its own).
-    pub mirror_dropped: u64,
     /// Engine invariant violations recorded (see [`EngineError`]).
     pub errors: u64,
 }
 
-// ------------------------------------------------------------- shard mode
-
-/// How a sharded scheduler treats events targeting nodes it does not own.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardPhase {
-    /// Identical code runs on every shard (mirrored setup): each shard
-    /// keeps its own targets and silently drops foreign ones, because the
-    /// owning shard scheduled its own copy.
-    Mirror,
-    /// Code runs on exactly one shard (event execution, or a routed
-    /// control op): foreign targets go to the outbox for delivery into the
-    /// owning shard's mailbox.
-    Routed,
-}
-
-/// A cross-shard event in flight: the full ordering key travels with the
-/// payload so the destination heap merges deterministically.
-pub struct OutMsg<E> {
-    pub at: SimTime,
-    pub origin: u32,
-    pub seq: u64,
-    pub node: u32,
-    pub ev: E,
-}
-
 // -------------------------------------------------------------- scheduler
 
-/// Priority queue of pending events plus the virtual clock, owning one
-/// shard's slice of the cluster (everything, when unsharded).
+/// Priority queue of pending events plus the virtual clock.
 pub struct Scheduler<W: SimWorld> {
     now: SimTime,
     executed: u64,
@@ -252,12 +199,8 @@ pub struct Scheduler<W: SimWorld> {
     /// The stream currently scheduling: the executing event's target node,
     /// or [`CONTROL_ORIGIN`] between events.
     cur_origin: u32,
-    shard_id: u32,
-    shard_count: u32,
-    phase: ShardPhase,
-    outbox: Vec<OutMsg<W::Ev>>,
     error: Option<EngineError>,
-    stats: EngineStats,
+    errors: u64,
 }
 
 impl<W: SimWorld> Default for Scheduler<W> {
@@ -276,12 +219,8 @@ impl<W: SimWorld> Scheduler<W> {
             origin_seq: Vec::new(),
             control_seq: 0,
             cur_origin: CONTROL_ORIGIN,
-            shard_id: 0,
-            shard_count: 1,
-            phase: ShardPhase::Routed,
-            outbox: Vec::new(),
             error: None,
-            stats: EngineStats::default(),
+            errors: 0,
         }
     }
 
@@ -315,114 +254,19 @@ impl<W: SimWorld> Scheduler<W> {
         self.error
     }
 
-    /// This shard's engine counters.
+    /// The engine counters.
     pub fn engine_stats(&self) -> EngineStats {
         EngineStats {
-            pending: self.heap.len() as u64,
             executed: self.executed,
+            pending: self.heap.len() as u64,
             arena_uses: self.arena.uses,
             arena_grows: self.arena.grows,
-            ..self.stats
+            errors: self.errors,
         }
-    }
-
-    // ------------------------------------------------------------ sharding
-
-    /// Configure this scheduler as shard `id` of `count` (node `n` is owned
-    /// iff `n % count == id`). A fresh scheduler is shard 0 of 1: it owns
-    /// every node and behaves exactly like the classic sequential engine.
-    pub fn configure_shard(&mut self, id: u32, count: u32) {
-        assert!(count >= 1 && id < count, "shard {id} of {count}");
-        self.shard_id = id;
-        self.shard_count = count;
-    }
-
-    /// Switch between mirrored-setup and routed handling of foreign
-    /// targets. Irrelevant for a solo scheduler.
-    pub fn set_phase(&mut self, phase: ShardPhase) {
-        self.phase = phase;
-    }
-
-    #[inline]
-    pub fn shard_id(&self) -> u32 {
-        self.shard_id
-    }
-
-    #[inline]
-    pub fn shard_count(&self) -> u32 {
-        self.shard_count
-    }
-
-    #[inline]
-    fn owns(&self, node: u32) -> bool {
-        self.shard_count == 1 || node % self.shard_count == self.shard_id
-    }
-
-    /// Move accumulated cross-shard messages into `sink` (recycling the
-    /// internal buffer).
-    pub fn drain_outbox(&mut self, sink: &mut Vec<OutMsg<W::Ev>>) {
-        sink.append(&mut self.outbox);
-    }
-
-    /// Inject one batch of cross-shard messages (the ingress mailbox
-    /// exchange). Messages carry their ordering key; a timestamp behind
-    /// this shard's clock is a conservative-lookahead violation and is
-    /// recorded as a typed [`EngineError`] (the event still runs, clamped,
-    /// so the simulation terminates — but the run is flagged unsound).
-    pub fn inject(&mut self, batch: &mut Vec<OutMsg<W::Ev>>) {
-        let depth = batch.len() as u64;
-        self.stats.mailbox_injected += depth;
-        self.stats.mailbox_high_water = self.stats.mailbox_high_water.max(depth);
-        for msg in batch.drain(..) {
-            debug_assert!(self.owns(msg.node), "mailbox message for a foreign node");
-            let mut at = msg.at;
-            if at < self.now {
-                self.record_error(EngineError::CausalityViolation {
-                    at,
-                    now: self.now,
-                    node: msg.node,
-                });
-                at = self.now;
-            }
-            let slot = self.arena.alloc(msg.ev);
-            self.heap.push(Entry {
-                at,
-                origin: msg.origin,
-                seq: msg.seq,
-                node: msg.node,
-                slot,
-            });
-        }
-    }
-
-    /// Advance the clock to `t` (never backwards). The sharded harness
-    /// aligns all shards to the global maximum at quiescence points so
-    /// control ops run at the same virtual instant they would have in a
-    /// sequential run.
-    pub fn align_now(&mut self, t: SimTime) {
-        if t > self.now {
-            debug_assert!(
-                self.next_at().is_none_or(|n| n >= t),
-                "aligning past a pending event"
-            );
-            self.now = self.now.max(t);
-        }
-    }
-
-    /// The control stream's sequence counter. The sharded harness threads
-    /// one global counter through every shard's control ops so the
-    /// cross-shard tie-break order matches the sequential run exactly.
-    #[inline]
-    pub fn control_seq(&self) -> u64 {
-        self.control_seq
-    }
-
-    pub fn set_control_seq(&mut self, seq: u64) {
-        self.control_seq = seq;
     }
 
     fn record_error(&mut self, e: EngineError) {
-        self.stats.errors += 1;
+        self.errors += 1;
         if self.error.is_none() {
             self.error = Some(e);
         }
@@ -450,27 +294,14 @@ impl<W: SimWorld> Scheduler<W> {
             self.origin_seq[idx] += 1;
             s
         };
-        if self.owns(node) {
-            let slot = self.arena.alloc(ev);
-            self.heap.push(Entry {
-                at,
-                origin,
-                seq,
-                node,
-                slot,
-            });
-        } else {
-            match self.phase {
-                ShardPhase::Mirror => self.stats.mirror_dropped += 1,
-                ShardPhase::Routed => self.outbox.push(OutMsg {
-                    at,
-                    origin,
-                    seq,
-                    node,
-                    ev,
-                }),
-            }
-        }
+        let slot = self.arena.alloc(ev);
+        self.heap.push(Entry {
+            at,
+            origin,
+            seq,
+            node,
+            slot,
+        });
     }
 
     /// Pop the next event, advancing the clock and switching the origin
@@ -496,10 +327,6 @@ impl<W: SimWorld> Scheduler<W> {
     pub(crate) fn end_event(&mut self) {
         self.cur_origin = CONTROL_ORIGIN;
     }
-
-    pub(crate) fn note_epoch(&mut self) {
-        self.stats.epochs += 1;
-    }
 }
 
 // --------------------------------------------------------- free functions
@@ -511,8 +338,8 @@ pub fn now<W: SimWorld>(w: &W) -> SimTime {
 }
 
 /// Schedule the typed event `ev` at absolute time `t`, targeting `node`
-/// (the node whose state the event mutates — the shard owning that node
-/// executes it).
+/// (the node whose state the event mutates; while it runs, `node` is the
+/// origin stream of everything it schedules).
 #[inline]
 pub fn emit_at<W: SimWorld>(w: &mut W, node: u32, t: SimTime, ev: W::Ev) {
     w.sched_mut().schedule(node, t, ev);
@@ -802,68 +629,5 @@ mod tests {
         let steady = w.sched.engine_stats();
         assert_eq!(steady.arena_grows, warm.arena_grows, "arena stays flat");
         assert!(steady.arena_uses >= warm.arena_uses + 100);
-    }
-
-    #[test]
-    fn mirror_phase_drops_foreign_targets() {
-        let mut w = world();
-        w.sched.configure_shard(0, 2);
-        w.sched.set_phase(ShardPhase::Mirror);
-        call_now(&mut w, 0, |w: &mut TestWorld| w.log.push(0)); // owned
-        call_now(&mut w, 1, |w: &mut TestWorld| w.log.push(1)); // foreign
-        run_to_quiescence(&mut w);
-        assert_eq!(w.log, vec![0]);
-        assert_eq!(w.sched.engine_stats().mirror_dropped, 1);
-    }
-
-    #[test]
-    fn routed_phase_exports_foreign_targets_with_keys() {
-        let mut a = world();
-        let mut b = world();
-        a.sched.configure_shard(0, 2);
-        b.sched.configure_shard(1, 2);
-        call_at(&mut a, 1, SimTime::from_micros(2), |w: &mut TestWorld| {
-            w.log.push(7)
-        });
-        assert_eq!(a.sched.pending(), 0);
-        let mut mail = Vec::new();
-        a.sched.drain_outbox(&mut mail);
-        assert_eq!(mail.len(), 1);
-        b.sched.inject(&mut mail);
-        run_to_quiescence(&mut b);
-        assert_eq!(b.log, vec![7]);
-        assert_eq!(b.sched.engine_stats().mailbox_injected, 1);
-    }
-
-    #[test]
-    fn causality_violation_is_a_typed_error() {
-        let mut a = world();
-        let mut b = world();
-        a.sched.configure_shard(0, 2);
-        b.sched.configure_shard(1, 2);
-        // b's clock is already past the message timestamp.
-        call_at(&mut b, 1, SimTime::from_micros(10), |w: &mut TestWorld| {
-            w.log.push(1)
-        });
-        run_to_quiescence(&mut b);
-        call_at(&mut a, 1, SimTime::from_micros(2), |w: &mut TestWorld| {
-            w.log.push(2)
-        });
-        let mut mail = Vec::new();
-        a.sched.drain_outbox(&mut mail);
-        // The inject still delivers (clamped) but records the violation.
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            b.sched.inject(&mut mail);
-        }));
-        if cfg!(debug_assertions) {
-            assert!(panicked.is_err(), "debug builds assert immediately");
-        } else {
-            assert!(panicked.is_ok());
-        }
-        assert!(matches!(
-            b.sched.engine_error(),
-            Some(EngineError::CausalityViolation { .. })
-        ));
-        assert_eq!(b.sched.engine_stats().errors, 1);
     }
 }

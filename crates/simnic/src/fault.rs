@@ -24,9 +24,8 @@
 //! dst)` pair. A link's dice are only ever rolled while the engine executes
 //! an event at its *transmitting* node (`wire_send` at the data source,
 //! ack scheduling at the ack source), so the draw order for each stream is
-//! that node's local event order — identical across runs *and across shard
-//! counts* (the parallel engine never changes a single node's event order).
-//! The same seed always yields the same fault sequence, so a chaos failure
+//! that node's local event order — identical across runs. The same seed
+//! always yields the same fault sequence, so a chaos failure
 //! reproduces exactly, and installing a plan on one link never shifts the
 //! draws any other link sees.
 
@@ -237,8 +236,8 @@ pub(crate) struct FaultState {
     /// Dice per directed `(src, dst)` node pair. Explicit per-link plans
     /// are installed eagerly; base-dice links materialise lazily with a
     /// stream seed derived from the base seed and the pair, so every
-    /// directed link owns an independent stream (the shard-invariance
-    /// contract in the module docs).
+    /// directed link owns an independent stream (the determinism contract
+    /// in the module docs).
     links: HashMap<(u32, u32), DiceState>,
     pub(crate) stats: FaultStats,
 }

@@ -269,9 +269,8 @@ pub fn run_nic_ev<W: NicWorld>(w: &mut W, ev: NicEv) {
                     knet_simcore::emit_at(w, node, end, ev);
                 }
                 Ok(None) => {
-                    // Receive-side accounting happens at delivery time (it
-                    // is the destination node's state, so the shard owning
-                    // it does it).
+                    // Receive-side accounting happens at delivery time, in
+                    // the destination node's own event.
                     let d = w.nics_mut().get_mut(nic);
                     d.stats.rx_packets += 1;
                     d.stats.rx_bytes += pkt.wire_len;

@@ -17,9 +17,9 @@
 //! All arithmetic is exact integer math on byte·nanoseconds: a bucket
 //! holding `level` byte·ns covers `level / 1e9` bytes, refills at
 //! `rate_bytes_per_sec` byte·ns per nanosecond and caps at
-//! `burst_bytes * 1e9`. Virtual time is shard-invariant, so bucket state
-//! — and therefore every Admit/Defer/Shed verdict — is bit-identical
-//! across shard counts (asserted by `tests/tenant_isolation.rs`).
+//! `burst_bytes * 1e9`. Refill depends on virtual time alone, so bucket
+//! state — and therefore every Admit/Defer/Shed verdict — is a pure
+//! function of the seed (asserted by `tests/tenant_isolation.rs`).
 //!
 //! Tenants with **no policy** are admitted unconditionally and consume
 //! nothing: the QoS machinery is invisible until configured.
@@ -201,7 +201,7 @@ impl QosState {
     }
 
     /// Fold bucket state into a fingerprint accumulator (tenant ids,
-    /// levels, refill instants) — the shard-equivalence hook.
+    /// levels, refill instants) — the determinism hook.
     pub fn fingerprint(&self, mut mix: impl FnMut(u64)) {
         for ((nic, tenant), b) in &self.buckets {
             mix(nic.0 as u64);
@@ -214,18 +214,6 @@ impl QosState {
             mix(s.admitted);
             mix(s.deferred);
             mix(s.shed);
-        }
-    }
-
-    /// [`Self::fingerprint`] restricted to one NIC's buckets, excluding the
-    /// per-tenant counters (which are world-global partial sums in a
-    /// sharded run): the shard-invariant slice — a NIC's buckets are only
-    /// ever touched by its owning shard.
-    pub fn fingerprint_nic(&self, nic: NicId, mut mix: impl FnMut(u64)) {
-        for ((_, tenant), b) in self.buckets.range((nic, u32::MIN)..=(nic, u32::MAX)) {
-            mix(*tenant as u64);
-            mix(b.level);
-            mix(b.last.nanos());
         }
     }
 }
@@ -333,10 +321,9 @@ mod tests {
 
     #[test]
     fn bucket_state_depends_only_on_virtual_time_not_offer_interleaving() {
-        // The unit-level half of shard invariance: two worlds offering the
-        // same (nic, tenant, bytes, instant) tuples in *different global
-        // orders* (as sharded NIC threads would) end with bit-identical
-        // per-NIC bucket state, because refill is pure virtual-time
+        // Two worlds offering the same per-NIC (tenant, bytes, instant)
+        // tuples in *different global orders* end with bit-identical
+        // bucket state and counters, because refill is pure virtual-time
         // arithmetic keyed by (nic, tenant).
         let offers_a = [
             (NicId(0), 1u32, 1000u64, 0u64),
@@ -361,8 +348,7 @@ mod tests {
                 q.admit(nic, t, bytes, SimTime::from_nanos(at));
             }
             let mut fp = Vec::new();
-            q.fingerprint_nic(NicId(0), |v| fp.push(v));
-            q.fingerprint_nic(NicId(1), |v| fp.push(v));
+            q.fingerprint(|v| fp.push(v));
             fp
         };
         assert_eq!(run(&offers_a), run(&offers_b));

@@ -734,7 +734,7 @@ fn arm_timer<W: NicWorld>(w: &mut W, k: LinkKey) {
         link.deadline()
     };
     // The timer is the sender's event: it targets the node driving the
-    // link's tx side, so the shard owning that node executes it.
+    // link's tx side.
     let node = w.nics().get(NicId(k.1)).node.0;
     let ev = W::lift_nic(NicEv::RelTimer { key: k });
     knet_simcore::emit_at(w, node, deadline, ev);
@@ -1047,7 +1047,7 @@ fn schedule_ack<W: NicWorld>(w: &mut W, k: LinkKey, cum: u64, sack: u64, echo: S
     };
     let arrival = now + latency + extra;
     // Ack arrivals mutate the *sender's* window: they target the data
-    // source's node and cross shards through the engine mailboxes.
+    // source's node.
     let node = ack_dst_node.0;
     if duplicate {
         let at2 = arrival + dup_extra;
@@ -1093,8 +1093,7 @@ pub(crate) fn rel_on_rx_drop<W: NicWorld>(w: &mut W, pkt: &Packet, backlog: SimT
         )
     };
     // The notification rides the fabric like an ack: same direction, same
-    // fault dice, same latency floor (which is also the cross-shard
-    // lookahead bound).
+    // fault dice, same latency floor.
     let FaultVerdict::Deliver { extra, .. } =
         w.nics_mut()
             .fault_verdict(nack_src_node, nack_dst_node, now)

@@ -224,7 +224,7 @@ pub fn cpu_charge<W: OsWorld>(w: &mut W, node: NodeId, dur: SimTime) -> SimTime 
 }
 
 /// Reserve CPU time, then run `f` when it completes. The continuation is a
-/// node-local event on `node` — it executes on whichever shard owns it.
+/// node-local event on `node`.
 pub fn cpu_run<W: OsWorld>(
     w: &mut W,
     node: NodeId,

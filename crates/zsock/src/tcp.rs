@@ -139,9 +139,7 @@ pub fn tcp_send<W: TcpWorld>(w: &mut W, sid: TcpSockId, src: MemRef) -> TcpOpId 
     };
     let arrival = wire_end + params.wire_latency;
     // Receiver stack then delivery. The arrival is the receiver node's
-    // event; note the comparison stack's own `wire_latency` is *not*
-    // guaranteed to clear the sharded engine's lookahead — a too-small
-    // setting surfaces as a typed `CausalityViolation`, never silence.
+    // event.
     knet_simcore::call_at(w, peer_node.0, arrival, move |w: &mut W| {
         let p = w.tcp().params;
         let rx_node = w.tcp().sock(peer).node;

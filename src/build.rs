@@ -6,7 +6,6 @@ use knet_simnic::{FaultPlan, NicLayer, NicModel, QosPolicy, RelParams};
 use knet_simos::{CpuModel, NodeId, OsLayer};
 use knet_zsock::{TcpLayer, TcpParams, ZsockLayer, ZsockParams};
 
-use crate::shard::ShardedCluster;
 use crate::world::ClusterWorld;
 
 /// Builder for a [`ClusterWorld`]: `n` nodes, one NIC each, full crossbar.
@@ -56,8 +55,7 @@ impl ClusterBuilder {
 
     /// Declare a tenant (consumer group) with a WDRR `weight` and no NIC
     /// rate limit. Tenant ids are minted in declaration order starting at
-    /// 1 (id 0 is the always-present default tenant), identically in every
-    /// shard, so sharded runs see the same tenant directory.
+    /// 1 (id 0 is the always-present default tenant).
     pub fn tenant(mut self, name: &str, weight: u64) -> Self {
         self.tenants.push(TenantSpec {
             name: name.to_string(),
@@ -161,18 +159,14 @@ impl ClusterBuilder {
 
     /// Build the world.
     pub fn build(self) -> ClusterWorld {
-        self.build_one()
-    }
-
-    fn build_one(&self) -> ClusterWorld {
         let mut os = OsLayer::new();
         let mut nics = NicLayer::new();
-        for cpu in &self.cpus {
-            let node = os.add_node(cpu.clone(), self.mem_frames);
+        for cpu in self.cpus {
+            let node = os.add_node(cpu, self.mem_frames);
             nics.add_nic(node, self.nic.clone());
         }
-        if let Some(plan) = &self.fault {
-            nics.set_fault_plan(plan.clone());
+        if let Some(plan) = self.fault {
+            nics.set_fault_plan(plan);
         }
         nics.rel = knet_simnic::RelState::new(self.rel_params);
         let mut w = ClusterWorld::from_layers(
@@ -187,18 +181,6 @@ impl ClusterBuilder {
             w.register_tenant(&spec.name, spec.weight, spec.policy);
         }
         w
-    }
-
-    /// Build the cluster as `shards` node-partitioned replicas stepped by
-    /// the conservative-lookahead parallel engine. The lookahead is the
-    /// NIC's wire latency — the minimum delay of any cross-node event —
-    /// so sharded execution is bit-identical to `build()` plus the
-    /// sequential loop (see `knet_simcore::engine`).
-    pub fn build_sharded(self, shards: usize) -> ShardedCluster {
-        assert!(shards >= 1, "at least one shard");
-        let lookahead = self.nic.wire_latency;
-        let worlds = (0..shards).map(|_| self.build_one()).collect();
-        ShardedCluster::from_worlds(worlds, lookahead)
     }
 }
 

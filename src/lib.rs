@@ -80,13 +80,11 @@ pub mod event;
 pub mod figures;
 pub mod harness;
 pub mod report;
-pub mod shard;
 pub mod workload;
 pub mod world;
 
 pub use build::ClusterBuilder;
 pub use event::ClusterEv;
-pub use shard::ShardedCluster;
 pub use world::{ClusterWorld, TenantStatsRow};
 
 /// Everything needed to script experiments.

@@ -8,12 +8,12 @@
 //! queue, it does not throttle the offered load — which is exactly the
 //! regime where tail latency and cross-tenant isolation are decided.
 //!
-//! The harness is deterministic per seed and shard-invariant by
-//! construction: every arrival is a virtual-time event chained on the
-//! client's *node* (so the sharded engine routes it to the owning shard),
-//! client RNG streams are split from the seed per (class, client), and no
-//! wall-clock or global mutable ordering enters the measured path. Sample
-//! sinks are cross-thread (`Mutex`) but order-insensitive — percentiles
+//! The harness is deterministic per seed by construction: every arrival is
+//! a virtual-time event chained on the client's *node* (so it joins that
+//! node's stream in the scheduler's ordering key), client RNG streams are
+//! split from the seed per (class, client), and no wall-clock or global
+//! mutable ordering enters the measured path. Sample sinks sit behind
+//! `Arc<Mutex>` only because engine events must be `Send`; percentiles
 //! are computed from sorted samples.
 //!
 //! Latency is measured request→reply: the gap between a client's scheduled
@@ -40,7 +40,6 @@ use knet_simos::NodeId;
 
 use crate::event::ClusterEv;
 use crate::harness::kbuf;
-use crate::shard::ShardedCluster;
 use crate::world::ClusterWorld;
 
 /// One tenant class: a population of logical clients with a common message
@@ -83,7 +82,7 @@ pub struct WorkloadSpec {
     pub classes: Vec<ClassSpec>,
 }
 
-/// Per-class accumulator (behind a mutex: shard worlds run on threads).
+/// Per-class accumulator (behind a mutex: engine events must be `Send`).
 #[derive(Default)]
 struct ClassSink {
     /// tag → send instant (nanos), removed when the echo lands.
@@ -98,7 +97,7 @@ struct ClassSink {
 }
 
 /// Shared sample sink for one workload run: one lane per class. Create
-/// once, hand the same `Arc` to [`install`] on every shard world.
+/// once and hand it to [`install`].
 pub struct WorkloadSink {
     classes: Vec<Mutex<ClassSink>>,
 }
@@ -135,7 +134,7 @@ pub struct ClassReport {
 
 /// The state one arrival event carries to the next: the whole per-client
 /// process lives in this value, re-emitted on the client's node so the
-/// sharded engine keeps the chain on the owning shard.
+/// chain stays in that node's scheduling stream.
 struct Arrival {
     class: usize,
     client: u32,
@@ -200,10 +199,7 @@ fn fire_arrival(w: &mut ClusterWorld, mut st: Arrival) {
 
 /// Install the workload into one world: mint tenants, stand up per-class
 /// echo services and client channels, and seed every client's first
-/// arrival. Deterministic — in a sharded run, call inside
-/// [`ShardedCluster::setup`] with the *same* `spec` and `sink` so every
-/// replica builds identical state and each shard keeps only the arrival
-/// chains of the nodes it owns.
+/// arrival. Deterministic: the same `spec` builds the same state.
 pub fn install(w: &mut ClusterWorld, spec: &WorkloadSpec, sink: &Arc<WorkloadSink>) {
     assert!(
         !spec.client_nodes.is_empty(),
@@ -325,7 +321,10 @@ pub fn install(w: &mut ClusterWorld, spec: &WorkloadSpec, sink: &Arc<WorkloadSin
     }
 }
 
-fn percentile_us(sorted: &[u64], q: f64) -> f64 {
+/// The `q` quantile of ascending nanosecond samples, in microseconds:
+/// `sorted[round((n − 1)·q)]`, or `0.0` when there are no samples. The
+/// echo benches (`BENCH_tail.json`, `BENCH_rpc.json`) report with this.
+pub fn percentile_us(sorted: &[u64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }
@@ -376,14 +375,4 @@ pub fn run_solo(w: &mut ClusterWorld, spec: &WorkloadSpec) -> Vec<ClassReport> {
     install(w, spec, &sink);
     knet_simcore::run_to_quiescence(w);
     collect(w, spec, &sink)
-}
-
-/// Run a workload to completion across a sharded cluster and report.
-/// Identical samples to [`run_solo`] on the same spec — the isolation and
-/// equivalence tests assert exactly that.
-pub fn run_sharded(shards: &mut ShardedCluster, spec: &WorkloadSpec) -> Vec<ClassReport> {
-    let sink = WorkloadSink::new(spec);
-    shards.setup(|w| install(w, spec, &sink));
-    shards.run_to_quiescence();
-    collect(shards.world(spec.server_node.0), spec, &sink)
 }

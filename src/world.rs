@@ -222,9 +222,6 @@ impl ClusterWorld {
         st.rpc_idem_hits = rpc.idem_hits;
         let eng = self.sched.engine_stats();
         st.engine_events = eng.executed;
-        st.engine_epochs = eng.epochs;
-        st.engine_mailbox_injected = eng.mailbox_injected;
-        st.engine_mailbox_high_water = eng.mailbox_high_water;
         st.engine_arena_uses = eng.arena_uses;
         st.engine_arena_grows = eng.arena_grows;
         st.engine_errors = eng.errors;
@@ -235,9 +232,8 @@ impl ClusterWorld {
         st
     }
 
-    /// The raw engine counters of this world's scheduler shard (the
-    /// aggregate view lives in [`Self::stats_snapshot`]; sharded runs sum
-    /// each world's copy).
+    /// The raw engine counters of this world's scheduler (also mirrored
+    /// into [`Self::stats_snapshot`]).
     pub fn engine_stats(&self) -> knet_simcore::EngineStats {
         self.sched.engine_stats()
     }
@@ -305,27 +301,13 @@ impl ClusterWorld {
 
     /// Fold every tenant-visible scheduler and admission state into a
     /// fingerprint accumulator: channel WDRR lanes, driver pacing lanes,
-    /// token buckets. Zero-cost mix when no tenant is configured; used by
-    /// `tests/sched_equivalence.rs` to prove shard invariance.
+    /// token buckets. Zero-cost mix when no tenant is configured; the
+    /// determinism tests fold it next to the observed event stream.
     pub fn tenant_fingerprint(&self, mut mix: impl FnMut(u64)) {
         self.registry.wdrr_fingerprint(&mut mix);
         self.gm.paced_fingerprint(&mut mix);
         self.mx.paced_fingerprint(&mut mix);
         self.nics.qos.fingerprint(&mut mix);
-    }
-
-    /// [`Self::tenant_fingerprint`] restricted to one node's slice —
-    /// channels homed on the node, pacing lanes and token buckets of its
-    /// NIC. In a sharded run a node's slice is authoritative only on the
-    /// owning shard world, so equivalence tests fold node slices from their
-    /// owners and get bit-identical results at every shard count.
-    pub fn tenant_fingerprint_node(&self, node: NodeId, mut mix: impl FnMut(u64)) {
-        self.registry.wdrr_fingerprint_node(node.0, &mut mix);
-        if let Some(nic) = self.nics.nic_of_node(node) {
-            self.gm.paced_fingerprint_nic(nic, &mut mix);
-            self.mx.paced_fingerprint_nic(nic, &mut mix);
-            self.nics.qos.fingerprint_nic(nic, &mut mix);
-        }
     }
 }
 
@@ -351,7 +333,9 @@ impl SimWorld for ClusterWorld {
     }
 }
 
-/// The parallel engine moves whole worlds onto worker threads.
+/// A whole world can move to another thread (run independent seeds in
+/// parallel, hand a built world to a worker); events are `Send` for the
+/// same reason.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<ClusterWorld>();

@@ -134,7 +134,7 @@ const COLL_FORBIDDEN: &[&str] = &[
 ];
 
 /// Directories that must not schedule through the engine's boxed escape
-/// hatches. The sharded engine's zero-allocation contract holds because
+/// hatches. The engine's zero-allocation contract holds because
 /// steady-state events are *typed* (`lift_nic`/`lift_gm`/`lift_mx` →
 /// `ClusterEv` variants); the old free functions (`at`/`after`/
 /// `immediately`) that boxed every closure are gone from `knet_simcore`'s
