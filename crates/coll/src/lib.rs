@@ -33,7 +33,9 @@ use std::collections::BTreeMap;
 
 use bytes::Bytes;
 use knet_core::api::deliver;
-use knet_core::{DispatchWorld, Endpoint, IoVec, NetError, TransportEvent, TransportKind};
+use knet_core::{
+    DispatchWorld, Endpoint, IoVec, NetError, ScratchStats, TransportEvent, TransportKind,
+};
 use knet_simnic::{CollCmd, CollEvent, CollOp, ReduceOp};
 use knet_simos::NodeId;
 
@@ -99,13 +101,6 @@ impl GroupState {
     }
 }
 
-/// Scratch-pool counters (the payload staging buffer).
-#[derive(Clone, Copy, Default, Debug)]
-pub struct CollScratchStats {
-    pub uses: u64,
-    pub grows: u64,
-}
-
 /// Aggregate collective-layer counters (per-group breakdowns live in
 /// [`GroupStats`]).
 #[derive(Clone, Copy, Default, Debug)]
@@ -122,7 +117,8 @@ pub struct CollLayer {
     groups: Vec<Option<GroupState>>,
     /// Recycled payload staging buffer (iovec gather / lane serialisation).
     scratch: Vec<u8>,
-    pub scratch_stats: CollScratchStats,
+    /// Counters of the payload staging buffer.
+    pub scratch_stats: ScratchStats,
     pub stats: CollApiStats,
 }
 
@@ -369,10 +365,7 @@ fn stage_payload<W: CollWorld>(w: &mut W, node: NodeId, iov: &IoVec) -> Result<B
     let res = knet_core::read_iovec_into(w.os().node(node), iov, &mut scratch);
     let data = Bytes::copy_from_slice(&scratch);
     let layer = w.coll_mut();
-    layer.scratch_stats.uses += 1;
-    if scratch.capacity() > cap {
-        layer.scratch_stats.grows += 1;
-    }
+    layer.scratch_stats.note(cap, scratch.capacity());
     layer.scratch = scratch;
     res.map(|()| data)
 }
@@ -456,10 +449,7 @@ pub fn channel_reduce<W: CollWorld>(
         }
         let data = Bytes::copy_from_slice(&scratch);
         let layer = w.coll_mut();
-        layer.scratch_stats.uses += 1;
-        if scratch.capacity() > cap {
-            layer.scratch_stats.grows += 1;
-        }
+        layer.scratch_stats.note(cap, scratch.capacity());
         layer.scratch = scratch;
         data
     };

@@ -15,13 +15,18 @@
 //!   **completion queues**, and the **consumer dispatch registry** that
 //!   applications register against (no composed-world edits to add a
 //!   workload), with API-level coalescing of vectored sends on GM;
+//! * [`driver`] and [`pace`] — the driver core GM and MX share: their
+//!   completion event, scratch counters, and the pacing seam where
+//!   token-bucket-deferred sends wait in per-NIC, per-tenant WDRR lanes;
 //! * [`error`] — the unified error type.
 //!
 //! The two drivers implementing this API live in `knet-gm` and `knet-mx`.
 
 pub mod api;
+pub mod driver;
 pub mod error;
 pub mod iovec;
+pub mod pace;
 pub mod regcache;
 pub mod tenant;
 pub mod transport;
@@ -33,12 +38,14 @@ pub use api::{
     release_kernel_buffer, Channel, ChannelId, ConsumerId, CqEntry, CqId, DispatchWorld, Registry,
     RegistryStats, DEFAULT_SEND_QUEUE_CAP,
 };
+pub use driver::{pack_msg_meta, DriverEvent, MsgMeta, ScratchStats};
 pub use error::{NetError, RpcError};
 pub use iovec::{
     chunk_segments, next_chunk, read_iovec, read_iovec_into, resolve_iovec, resolve_iovec_into,
     seg_window, seg_window_into, write_iovec, AddrClass, ChunkCursor, IoVec, MemRef, Resolution,
     IOVEC_INLINE_SEGS,
 };
+pub use pace::{pace_drain, pace_fire, pace_offer, PaceSeam, PacedSend};
 pub use regcache::{RangePlan, RegCache, RegCacheStats, RegKey};
 pub use tenant::{
     TenantChannelRow, TenantId, TenantInfo, TenantSendStats, TenantTable, WdrrLanes,

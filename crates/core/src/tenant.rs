@@ -5,7 +5,7 @@
 //! at registry registration ([`TenantTable::create`]) and carried on every
 //! send from the channel layer down to the NIC admission point. Each
 //! queueing point the send crosses — the per-channel backpressure queue,
-//! the driver-seam pacing queues in the GM/MX layers — holds one
+//! the drivers' pacing lanes ([`crate::pace`]) — holds one
 //! [`WdrrLanes`] instead of a single FIFO: one lane per tenant, drained by
 //! deficit round robin weighted by the tenant's registered weight.
 //!
@@ -243,36 +243,7 @@ impl<T> WdrrLanes<T> {
         weight_of: impl Fn(TenantId) -> u64,
         cost_of: impl Fn(&T) -> u64,
     ) -> Option<(TenantId, T)> {
-        if self.len == 0 {
-            return None;
-        }
-        // Single-tenant degeneracy: one active lane is a plain FIFO, with
-        // no deficit bookkeeping to diverge from the pre-tenant behaviour
-        // (and no quantum-sized spinning for oversized messages).
-        if self.active == 1 {
-            let i = self.lanes.iter().position(|l| !l.q.is_empty())?;
-            return Some((TenantId(i as u32), self.take_front(i)?));
-        }
-        loop {
-            let i = self.cursor;
-            if self.lanes[i].q.is_empty() {
-                self.lanes[i].deficit = 0;
-                self.advance();
-                continue;
-            }
-            if !self.granted {
-                let quantum = weight_of(TenantId(i as u32)).max(1) * WDRR_QUANTUM_BYTES;
-                self.lanes[i].deficit = self.lanes[i].deficit.saturating_add(quantum);
-                self.granted = true;
-            }
-            let cost = cost_of(self.lanes[i].q.front().expect("non-empty"));
-            if self.lanes[i].deficit >= cost {
-                self.lanes[i].deficit -= cost;
-                let item = self.take_front(i)?;
-                return Some((TenantId(i as u32), item));
-            }
-            self.advance();
-        }
+        self.pop_next_eligible(weight_of, cost_of, |_, _| true)
     }
 
     /// Like [`WdrrLanes::pop_next`], but lanes whose head fails `eligible`
@@ -289,6 +260,9 @@ impl<T> WdrrLanes<T> {
         if self.len == 0 {
             return None;
         }
+        // Single-tenant degeneracy: one active lane is a plain FIFO, with
+        // no deficit bookkeeping to diverge from the pre-tenant behaviour
+        // (and no quantum-sized spinning for oversized messages).
         if self.active == 1 {
             let i = self.lanes.iter().position(|l| !l.q.is_empty())?;
             let head = self.lanes[i].q.front().expect("non-empty");

@@ -9,7 +9,7 @@
 //! and copy protocols) stays inside the drivers.
 
 use bytes::Bytes;
-use knet_simnic::NicWorld;
+use knet_simnic::{NicWorld, Proto};
 use knet_simos::NodeId;
 
 use crate::error::NetError;
@@ -21,6 +21,25 @@ use crate::tenant::TenantId;
 pub enum TransportKind {
     Gm,
     Mx,
+}
+
+impl TransportKind {
+    /// The NIC protocol this driver's packets carry.
+    pub fn proto(self) -> Proto {
+        match self {
+            TransportKind::Gm => Proto::Gm,
+            TransportKind::Mx => Proto::Mx,
+        }
+    }
+
+    /// The driver owning `proto` packets (`None` for raw fabric traffic).
+    pub fn of_proto(proto: Proto) -> Option<Self> {
+        match proto {
+            Proto::Gm => Some(TransportKind::Gm),
+            Proto::Mx => Some(TransportKind::Mx),
+            Proto::Raw => None,
+        }
+    }
 }
 
 /// A transport endpoint: a GM port or an MX endpoint on some node.

@@ -93,6 +93,9 @@ pub enum Admission {
 #[derive(Default)]
 pub struct QosState {
     policies: BTreeMap<u32, QosPolicy>,
+    /// WDRR drain weights of the driver pacing lanes, indexed by tenant id
+    /// (missing → 1).
+    weights: Vec<u64>,
     buckets: BTreeMap<(NicId, u32), Bucket>,
     stats: BTreeMap<u32, QosTenantStats>,
 }
@@ -109,21 +112,22 @@ impl QosState {
         self.policies.get(&tenant).copied()
     }
 
+    /// Install a tenant's WDRR weight: its share when the drivers drain
+    /// their pacing lanes.
+    pub fn set_weight(&mut self, tenant: u32, weight: u64) {
+        let i = tenant as usize;
+        self.weights.resize(self.weights.len().max(i + 1), 1);
+        self.weights[i] = weight;
+    }
+
+    /// A tenant's WDRR weight (1 when none was installed).
+    pub fn weight(&self, tenant: u32) -> u64 {
+        self.weights.get(tenant as usize).copied().unwrap_or(1)
+    }
+
     /// Per-tenant admission counters (zero row for unconfigured tenants).
     pub fn tenant_stats(&self, tenant: u32) -> QosTenantStats {
         self.stats.get(&tenant).copied().unwrap_or_default()
-    }
-
-    /// Tenants that have admission state (policy or counters).
-    pub fn tenants(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.policies.keys().copied().collect();
-        for t in self.stats.keys() {
-            if !ids.contains(t) {
-                ids.push(*t);
-            }
-        }
-        ids.sort_unstable();
-        ids
     }
 
     /// Sum of all per-tenant counters (the `RegistryStats` mirror).

@@ -22,17 +22,17 @@
 use knet_coll::{CollLayer, CollWorld};
 use knet_core::api::{self, ConsumerId, CqId, Registry};
 use knet_core::{
-    DispatchWorld, Endpoint, IoVec, MemRef, NetError, TenantId, TenantSendStats, TransportEvent,
-    TransportKind, TransportWorld,
+    DispatchWorld, DriverEvent, Endpoint, IoVec, MemRef, NetError, TenantId, TenantSendStats,
+    TransportEvent, TransportKind, TransportWorld,
 };
 use knet_gm::{
     gm_ensure_cached, gm_next_event, gm_on_packet, gm_on_vma_event, gm_open_port,
-    gm_provide_receive_buffer, gm_send_t, GmEv, GmEvent, GmLayer, GmPortConfig, GmPortId, GmWorld,
+    gm_provide_receive_buffer, gm_send_t, GmEv, GmLayer, GmPortConfig, GmPortId, GmWorld,
 };
 use knet_kv::{KvEv, KvLayer, KvWorld};
 use knet_mx::{
     mx_irecv, mx_isend_t, mx_next_event, mx_on_packet, mx_open_endpoint, MxEndpointConfig,
-    MxEndpointId, MxEv, MxEvent, MxLayer, MxWorld,
+    MxEndpointId, MxEv, MxLayer, MxWorld,
 };
 use knet_nbd::{NbdLayer, NbdWorld};
 use knet_orfs::{OrfsLayer, OrfsWorld};
@@ -247,8 +247,9 @@ impl ClusterWorld {
     }
 
     /// Register a tenant (idempotent by name): mints the registry id,
-    /// installs the WDRR weight in both drivers, and — when `policy` is
-    /// given — the token-bucket policy at the NIC admission point.
+    /// installs its WDRR weight for the driver pacing lanes and — when
+    /// `policy` is given — the token-bucket policy at the NIC admission
+    /// point.
     pub fn register_tenant(
         &mut self,
         name: &str,
@@ -256,10 +257,12 @@ impl ClusterWorld {
         policy: Option<knet_simnic::QosPolicy>,
     ) -> TenantId {
         let t = self.registry.tenant_create(name, weight);
+        self.nics
+            .qos
+            .set_weight(t.0, self.registry.tenant_table().weight(t));
         if let Some(p) = policy {
             self.nics.qos.set_policy(t.0, p);
         }
-        self.sync_tenant_weights();
         t
     }
 
@@ -267,20 +270,6 @@ impl ClusterWorld {
     /// pick the tenant up; existing channels are re-tagged).
     pub fn assign_tenant(&mut self, ep: Endpoint, tenant: TenantId) {
         self.registry.assign_tenant(ep, tenant);
-    }
-
-    /// Mirror the registry's tenant weights into the driver pacing
-    /// schedulers (both drivers index weights by dense tenant id).
-    fn sync_tenant_weights(&mut self) {
-        let table = self.registry.tenant_table();
-        let n = table.count();
-        self.gm.tenant_weights.clear();
-        self.mx.tenant_weights.clear();
-        for i in 0..n {
-            let wgt = table.weight(TenantId(i as u32));
-            self.gm.tenant_weights.push(wgt);
-            self.mx.tenant_weights.push(wgt);
-        }
     }
 
     /// One stats row per tenant: channel-layer queueing counters joined
@@ -305,8 +294,8 @@ impl ClusterWorld {
     /// determinism tests fold it next to the observed event stream.
     pub fn tenant_fingerprint(&self, mut mix: impl FnMut(u64)) {
         self.registry.wdrr_fingerprint(&mut mix);
-        self.gm.paced_fingerprint(&mut mix);
-        self.mx.paced_fingerprint(&mut mix);
+        self.gm.pace.fingerprint(&mut mix);
+        self.mx.pace.fingerprint(&mut mix);
         self.nics.qos.fingerprint(&mut mix);
     }
 }
@@ -375,10 +364,8 @@ impl NicWorld for ClusterWorld {
         // A reliability window exhausted its retry budget: surface the dead
         // peer to every channel above the driver seam, and resolve every
         // collective the dead node was a member of as a typed failure.
-        let kind = match proto {
-            Proto::Gm => TransportKind::Gm,
-            Proto::Mx => TransportKind::Mx,
-            Proto::Raw => return,
+        let Some(kind) = TransportKind::of_proto(proto) else {
+            return;
         };
         let local_node = self.nics.get(local).node;
         let remote_node = self.nics.get(remote).node;
@@ -386,10 +373,8 @@ impl NicWorld for ClusterWorld {
         knet_coll::coll_peer_down(self, kind, remote_node);
     }
     fn coll_event(&mut self, proto: Proto, nic: NicId, ev: CollEvent) {
-        let kind = match proto {
-            Proto::Gm => TransportKind::Gm,
-            Proto::Mx => TransportKind::Mx,
-            Proto::Raw => return,
+        let Some(kind) = TransportKind::of_proto(proto) else {
+            return;
         };
         let node = self.nics.get(nic).node;
         knet_coll::on_nic_event(self, kind, node, ev);
@@ -416,10 +401,6 @@ impl CollWorld for ClusterWorld {
         children: &[Endpoint],
         group: u32,
     ) {
-        let proto = match ep.kind {
-            TransportKind::Gm => Proto::Gm,
-            TransportKind::Mx => Proto::Mx,
-        };
         let Some(nic) = self.nics.nic_of_node(ep.node) else {
             return;
         };
@@ -432,23 +413,15 @@ impl CollWorld for ClusterWorld {
         }
         self.nics
             .coll
-            .install_tree(proto, group, nic, parent, &kids);
+            .install_tree(ep.kind.proto(), group, nic, parent, &kids);
     }
     fn coll_uninstall(&mut self, ep: Endpoint, group: u32) {
-        let proto = match ep.kind {
-            TransportKind::Gm => Proto::Gm,
-            TransportKind::Mx => Proto::Mx,
-        };
         if let Some(nic) = self.nics.nic_of_node(ep.node) {
-            self.nics.coll.uninstall_tree(proto, group, nic);
+            self.nics.coll.uninstall_tree(ep.kind.proto(), group, nic);
         }
     }
     fn coll_purge(&mut self, kind: TransportKind, group: u32) {
-        let proto = match kind {
-            TransportKind::Gm => Proto::Gm,
-            TransportKind::Mx => Proto::Mx,
-        };
-        self.nics.coll.purge_group(proto, group);
+        self.nics.coll.purge_group(kind.proto(), group);
     }
 }
 
@@ -496,52 +469,15 @@ impl GmWorld for ClusterWorld {
         ClusterEv::Gm(ev)
     }
     fn gm_dispatch(&mut self, port: GmPortId) {
-        let node = match self.gm.port(port) {
-            Ok(p) => p.node,
-            Err(_) => return,
-        };
-        while let Some(ev) = gm_next_event(self, port) {
-            let tev = match ev {
-                GmEvent::SendDone { ctx } => TransportEvent::SendDone { ctx },
-                GmEvent::SendFailed { ctx, error } => TransportEvent::SendFailed { ctx, error },
-                GmEvent::RecvDone {
-                    ctx,
-                    tag,
-                    len,
-                    from,
-                } => {
-                    let from_node = self.gm.port(from).map(|p| p.node).unwrap_or(node);
-                    TransportEvent::RecvDone {
-                        ctx,
-                        tag,
-                        len,
-                        from: Endpoint {
-                            kind: TransportKind::Gm,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-                GmEvent::Unexpected { tag, data, from } => {
-                    let from_node = self.gm.port(from).map(|p| p.node).unwrap_or(node);
-                    TransportEvent::Unexpected {
-                        tag,
-                        data,
-                        from: Endpoint {
-                            kind: TransportKind::Gm,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-            };
-            let ep = Endpoint {
-                kind: TransportKind::Gm,
-                node,
-                idx: port.0,
-            };
-            api::deliver(self, ep, tev);
-        }
+        let node_of = |w: &Self, p| w.gm.port(p).ok().map(|p| p.node);
+        dispatch_driver(
+            self,
+            TransportKind::Gm,
+            port,
+            |p| p.0,
+            node_of,
+            gm_next_event,
+        );
     }
 }
 
@@ -555,53 +491,37 @@ impl MxWorld for ClusterWorld {
     fn lift_mx(ev: MxEv) -> ClusterEv {
         ClusterEv::Mx(ev)
     }
-    fn mx_dispatch(&mut self, ep_id: MxEndpointId) {
-        let node = match self.mx.ep(ep_id) {
-            Ok(e) => e.node,
-            Err(_) => return,
-        };
-        while let Some(ev) = mx_next_event(self, ep_id) {
-            let tev = match ev {
-                MxEvent::SendDone { ctx } => TransportEvent::SendDone { ctx },
-                MxEvent::SendFailed { ctx, error } => TransportEvent::SendFailed { ctx, error },
-                MxEvent::RecvDone {
-                    ctx,
-                    tag,
-                    len,
-                    from,
-                } => {
-                    let from_node = self.mx.ep(from).map(|e| e.node).unwrap_or(node);
-                    TransportEvent::RecvDone {
-                        ctx,
-                        tag,
-                        len,
-                        from: Endpoint {
-                            kind: TransportKind::Mx,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-                MxEvent::Unexpected { tag, data, from } => {
-                    let from_node = self.mx.ep(from).map(|e| e.node).unwrap_or(node);
-                    TransportEvent::Unexpected {
-                        tag,
-                        data,
-                        from: Endpoint {
-                            kind: TransportKind::Mx,
-                            node: from_node,
-                            idx: from.0,
-                        },
-                    }
-                }
-            };
-            let ep = Endpoint {
-                kind: TransportKind::Mx,
-                node,
-                idx: ep_id.0,
-            };
-            api::deliver(self, ep, tev);
-        }
+    fn mx_dispatch(&mut self, ep: MxEndpointId) {
+        let node_of = |w: &Self, e| w.mx.ep(e).ok().map(|e| e.node);
+        dispatch_driver(self, TransportKind::Mx, ep, |e| e.0, node_of, mx_next_event);
+    }
+}
+
+/// Hand every queued event of driver endpoint `id` to its registry
+/// consumer as a [`TransportEvent`] (the shared body of `gm_dispatch` and
+/// `mx_dispatch`). `idx` and `node_of` name a driver endpoint; a sender
+/// that has since closed is reported on the receiving node.
+fn dispatch_driver<Id: Copy>(
+    w: &mut ClusterWorld,
+    kind: TransportKind,
+    id: Id,
+    idx: impl Fn(Id) -> u32,
+    node_of: impl Fn(&ClusterWorld, Id) -> Option<NodeId>,
+    next: impl Fn(&mut ClusterWorld, Id) -> Option<DriverEvent<Id>>,
+) {
+    let Some(node) = node_of(w, id) else { return };
+    let ep = Endpoint {
+        kind,
+        node,
+        idx: idx(id),
+    };
+    while let Some(ev) = next(w, id) {
+        let tev = ev.into_transport(|from| Endpoint {
+            kind,
+            node: node_of(w, from).unwrap_or(node),
+            idx: idx(from),
+        });
+        api::deliver(w, ep, tev);
     }
 }
 

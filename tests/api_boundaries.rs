@@ -219,10 +219,11 @@ fn kv_store_speaks_typed_rpc_only() {
 }
 
 /// Directories that must not bypass the WDRR scheduler. The tenant-stamped
-/// send entry points (`t_send_t`, `gm_send_t`, `mx_isend_t`) and the
-/// per-tenant lane queue type are the seam *below* per-tenant fair queueing:
-/// calling them directly would let a caller pick its own tenant id or
-/// reorder parked sends, defeating both isolation and accounting. Services,
+/// send entry points (`t_send_t`, `gm_send_t`, `mx_isend_t`), the
+/// per-tenant lane queue type and the driver pacing seam built on it are
+/// the layer *below* per-tenant fair queueing: calling them directly would
+/// let a caller pick its own tenant id or reorder parked sends, defeating
+/// both isolation and accounting. Services,
 /// examples and integration tests send through channels; only the channel
 /// layer (`crates/core`), the two drivers, and the composed world
 /// (`src/world.rs`, which implements the `t_send_t` seam) sit below it.
@@ -247,6 +248,7 @@ fn tenant_stamped_sends_stay_below_the_wdrr_scheduler() {
         format!("gm_send_{}(", "t"),
         format!("mx_isend_{}(", "t"),
         format!("Wdrr{}", "Lanes"),
+        format!("Pace{}", "Seam"),
     ];
     let offenders = offenders_for(WDRR_FORBIDDEN, &patterns);
     assert!(

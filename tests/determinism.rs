@@ -16,9 +16,10 @@
 //! workload — the NIC tree fingerprint.
 //!
 //! The chaos workload exercises seeded drop/duplicate/delay fault dice
-//! (per-directed-link streams), MX channel traffic in both directions,
+//! (per-directed-link streams), channel traffic in both directions,
 //! reliability retransmission timers, acks, and node kills with
-//! `PeerDown` failover.
+//! `PeerDown` failover. It runs over MX and over GM (kernel ports with the
+//! physical-address patch), so both drivers' pacing lanes are pinned.
 
 use knet::harness::{kbuf, KBuf};
 use knet::prelude::*;
@@ -78,14 +79,21 @@ struct Mesh {
     chans: Vec<ChannelId>,
 }
 
-/// Ring-mesh channel traffic under a seeded faulty fabric (drops, dups,
-/// delay-reorder, and optionally a node kill). Returns the fingerprint.
+/// Ring-mesh channel traffic over `kind` under a seeded faulty fabric
+/// (drops, dups, delay-reorder, and optionally a node kill). Returns the
+/// fingerprint.
 ///
 /// The mesh is multi-tenant: endpoints rotate through two weighted tenants
 /// plus a token-bucket-paced one, so the per-channel WDRR lanes, the
 /// driver pacing lanes and the NIC buckets all carry state under chaos —
 /// and that state is folded into the fingerprint each round.
-fn chaos_fingerprint(n: usize, seed: u64, loss_pct: u64, kill: bool) -> (u64, u64) {
+fn chaos_fingerprint(
+    kind: TransportKind,
+    n: usize,
+    seed: u64,
+    loss_pct: u64,
+    kill: bool,
+) -> (u64, u64) {
     let w = &mut builder(n).build();
     let mesh = {
         let mut plan = FaultPlan::new(seed)
@@ -113,7 +121,13 @@ fn chaos_fingerprint(n: usize, seed: u64, loss_pct: u64, kill: bool) -> (u64, u6
         for i in 0..n {
             let node = NodeId(i as u32);
             let cq = w.new_cq();
-            let ep = w.open_mx_cq(node, MxEndpointConfig::kernel(), cq).unwrap();
+            let ep = match kind {
+                TransportKind::Mx => w.open_mx_cq(node, MxEndpointConfig::kernel(), cq),
+                TransportKind::Gm => {
+                    w.open_gm_cq(node, GmPortConfig::kernel().with_physical_api(), cq)
+                }
+            }
+            .unwrap();
             w.assign_tenant(ep, [silver, bulk, gold][i % 3]);
             eps.push(ep);
             cqs.push(cq);
@@ -229,8 +243,8 @@ proptest! {
     ) {
         let n = 9;
         prop_assert_eq!(
-            chaos_fingerprint(n, seed, loss, kill),
-            chaos_fingerprint(n, seed, loss, kill)
+            chaos_fingerprint(TransportKind::Mx, n, seed, loss, kill),
+            chaos_fingerprint(TransportKind::Mx, n, seed, loss, kill)
         );
     }
 
@@ -251,12 +265,16 @@ proptest! {
 #[test]
 fn chaos_fingerprints_match_golden() {
     assert_eq!(
-        chaos_fingerprint(9, 0xC0FFEE, 8, false),
+        chaos_fingerprint(TransportKind::Mx, 9, 0xC0FFEE, 8, false),
         (144, 10_454_617_983_687_255_829)
     );
     assert_eq!(
-        chaos_fingerprint(9, 0x5EED, 5, true),
+        chaos_fingerprint(TransportKind::Mx, 9, 0x5EED, 5, true),
         (138, 6_056_646_812_079_556_699)
+    );
+    assert_eq!(
+        chaos_fingerprint(TransportKind::Gm, 9, 0xC0FFEE, 8, false),
+        (144, 12_992_476_759_751_521_750)
     );
 }
 

@@ -360,16 +360,24 @@ fn channel_send_path_recycles_pools_in_steady_state() {
 /// The multi-tenant machinery rides the same contract: per-tenant WDRR
 /// lanes in the channel, per-tenant pacing lanes in the driver and token
 /// buckets at the NIC all reach their high-water mark during warm-up and
-/// never grow again. Two tenants share a 2-node GM cluster — "rt"
+/// never grow again. Two tenants share a 2-node cluster — "rt"
 /// unthrottled, "bulk" behind a token bucket so its sends cross the
-/// Defer → pacing-lane → pace-timer path every round — while a tiny token
-/// pool parks sends in the channel lanes. Once warm, an identical batch of
-/// rounds performs *exactly* the same number of heap allocations as the
-/// previous one: the steady-state tenant path allocates nothing beyond the
-/// payload `Bytes` the driver already accounts.
+/// Defer → pacing-lane → pace-timer path every round. Once warm, an
+/// identical batch of rounds performs *exactly* the same number of heap
+/// allocations as the previous one: the steady-state tenant path allocates
+/// nothing beyond the payload `Bytes` the driver already accounts. Both
+/// drivers run it; on GM a tiny token pool also parks sends in the channel
+/// lanes.
 #[test]
 fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
+    for kind in [TransportKind::Gm, TransportKind::Mx] {
+        tenant_path_stays_flat(kind);
+    }
+}
+
+fn tenant_path_stays_flat(kind: TransportKind) {
     use knet_gm::GmParams;
+    use knet_mx::MxEndpointConfig;
     use knet_simnic::QosPolicy;
 
     let mut w = ClusterBuilder::new()
@@ -391,11 +399,17 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
         }),
     );
     let cq = w.new_cq();
-    let cfg = GmPortConfig::kernel().with_physical_api();
-    let a_rt = w.open_gm_cq(n0, cfg.clone(), cq).unwrap();
-    let b_rt = w.open_gm_cq(n1, cfg.clone(), cq).unwrap();
-    let a_bulk = w.open_gm_cq(n0, cfg.clone(), cq).unwrap();
-    let b_bulk = w.open_gm_cq(n1, cfg, cq).unwrap();
+    let open = |w: &mut knet::world::ClusterWorld, node| {
+        match kind {
+            TransportKind::Gm => w.open_gm_cq(node, GmPortConfig::kernel().with_physical_api(), cq),
+            TransportKind::Mx => w.open_mx_cq(node, MxEndpointConfig::kernel(), cq),
+        }
+        .unwrap()
+    };
+    let a_rt = open(&mut w, n0);
+    let b_rt = open(&mut w, n1);
+    let a_bulk = open(&mut w, n0);
+    let b_bulk = open(&mut w, n1);
     let ch_rt = channel_connect(&mut w, a_rt, b_rt, cq);
     let ch_bulk = channel_connect(&mut w, a_bulk, b_bulk, cq);
     w.assign_tenant(a_rt, rt);
@@ -404,7 +418,7 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
 
     let mut batch = Vec::new();
     let mut round = |w: &mut knet::world::ClusterWorld, r: u64| {
-        // Six sends per tenant against two tokens: four park in each
+        // Six sends per tenant: on GM's two tokens four park in each
         // channel's tenant lane; bulk's admitted sends outrun the bucket
         // and defer through the driver pacing lane.
         for i in 0..6u64 {
@@ -430,7 +444,10 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
             rt_ch.queue_lanes(),
             bulk_ch.queue_grows(),
             bulk_ch.queue_lanes(),
-            w.gm.paced_grows(),
+            match kind {
+                TransportKind::Gm => w.gm.pace.grows(),
+                TransportKind::Mx => w.mx.pace.grows(),
+            },
         )
     };
     let lanes0 = lane_grows(&w);
@@ -461,10 +478,12 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
         pool1.ctx_pool_slots, pool0.ctx_pool_slots,
         "no new send-context slots for tenant traffic"
     );
-    assert!(
-        pool1.queued_sends >= pool0.queued_sends + 100,
-        "the rounds really parked sends in the tenant lanes"
-    );
+    if kind == TransportKind::Gm {
+        assert!(
+            pool1.queued_sends >= pool0.queued_sends + 100,
+            "the rounds really parked sends in the tenant lanes"
+        );
+    }
     assert!(
         qos1.deferred > qos0.deferred,
         "bulk really crossed the pacing path"
@@ -474,7 +493,9 @@ fn multi_tenant_send_path_keeps_lanes_and_buckets_flat() {
     let rows = w.tenant_stats();
     let rt_row = rows.iter().find(|r| r.name == "rt").unwrap();
     let bulk_row = rows.iter().find(|r| r.name == "bulk").unwrap();
-    assert!(rt_row.channel.queued_sends > 0 && bulk_row.channel.queued_sends > 0);
+    if kind == TransportKind::Gm {
+        assert!(rt_row.channel.queued_sends > 0 && bulk_row.channel.queued_sends > 0);
+    }
     assert_eq!(
         rt_row.qos.admitted, 0,
         "unthrottled tenants skip the bucket"

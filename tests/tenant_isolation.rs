@@ -14,17 +14,18 @@
 //!
 //! Token-bucket edge cases ride along: a zero-rate tenant is a typed
 //! always-shed (`NetError::Overload`), burst credit is consumed exactly at
-//! the epoch boundary (unit-tested in `knet_simnic::qos`), and refill is
+//! the epoch boundary (unit-tested in `knet_simnic::qos`), a paced send
+//! that fails at drain time gives its tokens back, and refill is
 //! virtual-time only, so the same seed reproduces every bucket level.
 
 use knet::build::ClusterBuilder;
 use knet::workload::{run_solo, ClassSpec, WorkloadSpec};
 use knet::world::ClusterWorld;
 use knet_core::api::{channel_connect, channel_send};
-use knet_core::NetError;
+use knet_core::{NetError, TransportEvent};
 use knet_mx::MxEndpointConfig;
 use knet_simcore::SimTime;
-use knet_simnic::QosPolicy;
+use knet_simnic::{FaultPlan, QosPolicy};
 use knet_simos::{CpuModel, NodeId};
 
 const NODES: usize = 3;
@@ -183,6 +184,69 @@ fn zero_rate_tenant_always_sheds_typed_overload() {
     let dead_row = rows.iter().find(|r| r.name == "dead").unwrap();
     assert_eq!(dead_row.qos.shed, 5);
     assert_eq!(dead_row.qos.admitted, 0);
+}
+
+/// A send the bucket deferred, whose peer dies before the refill, fails at
+/// drain time with a typed `SendFailed` — and the drain refunds the tokens
+/// it charged for it, exactly as a synchronous send failure does, so the
+/// tenant's admitted counters cover only the bytes that left the node.
+#[test]
+fn drain_time_send_failure_refunds_the_bucket() {
+    let mut w = builder().build();
+    // 2 KiB burst at 2 KiB/s: the second 2 KiB send waits a full second,
+    // long after the killed peer's link has been declared dead.
+    let paced = w.register_tenant(
+        "paced",
+        1,
+        Some(QosPolicy {
+            rate_bytes_per_sec: 2048,
+            burst_bytes: 2048,
+            pace_queue_cap: 16,
+        }),
+    );
+    w.set_fault_plan(FaultPlan::new(1).with_kill(NodeId(1), SimTime::from_micros(1)));
+    let cq = w.new_cq();
+    let a = w
+        .open_mx_cq(NodeId(0), MxEndpointConfig::kernel(), cq)
+        .unwrap();
+    let b = w
+        .open_mx_cq(NodeId(1), MxEndpointConfig::kernel(), cq)
+        .unwrap();
+    let ch = channel_connect(&mut w, a, b, cq);
+    w.assign_tenant(a, paced);
+    let buf = knet::harness::kbuf(&mut w, NodeId(0), 4096);
+
+    let sent = channel_send(&mut w, ch, 1, buf.iov(2048)).unwrap();
+    let parked = channel_send(&mut w, ch, 2, buf.iov(2048)).unwrap();
+    let nic = w.nics.nic_of_node(NodeId(0)).unwrap();
+    assert_eq!(w.mx.pace.backlog(nic), 1, "the second send was deferred");
+    knet_simcore::run_to_quiescence(&mut w);
+
+    let mut events = Vec::new();
+    while let Some(ev) = w.take_event(a) {
+        events.push(ev);
+    }
+    assert!(
+        events
+            .iter()
+            .any(|e| matches!(e, TransportEvent::SendDone { ctx } if *ctx == sent)),
+        "the admitted send completed: {events:?}"
+    );
+    assert!(
+        events.iter().any(|e| matches!(
+            e,
+            TransportEvent::SendFailed { ctx, error: NetError::PeerUnreachable } if *ctx == parked
+        )),
+        "the parked send failed typed at drain time: {events:?}"
+    );
+    assert_eq!(w.mx.pace.backlog(nic), 0);
+    let qos = w.nics.qos.tenant_stats(paced.0);
+    assert_eq!(qos.deferred, 1);
+    assert_eq!(
+        (qos.admitted, qos.admitted_bytes),
+        (1, 2048),
+        "only the send that left the node stays admitted"
+    );
 }
 
 /// The per-tenant stats rows surface both halves of the story: channel
