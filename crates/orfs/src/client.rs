@@ -216,7 +216,8 @@ pub struct OrfsClient {
     pub config: VfsConfig,
     /// The process this client serves (user-buffer copies target it).
     pub asid: Asid,
-    /// Per-client page-cache namespace.
+    /// Per-client page-cache namespace; also the prefix of every request
+    /// id this client issues (see [`request_id`]).
     pub mount_id: u32,
     next_reqid: u64,
     next_syscall: u64,
@@ -242,6 +243,19 @@ pub struct OrfsClient {
 }
 
 const CLIENT_RING: u64 = 4 << 20;
+
+/// Low bits of a request id holding the client's own sequence number.
+const REQ_SEQ_BITS: u32 = 40;
+
+/// The `seq`-th request id of the client mounted as `mount_id`: the mount
+/// id above [`REQ_SEQ_BITS`], the sequence number below. Every client of a
+/// server shares its endpoint, so the server matches an announced write's
+/// payload by tag alone; the prefix keeps those tags unique per client.
+fn request_id(mount_id: u32, seq: u64) -> u64 {
+    debug_assert!(seq < 1 << REQ_SEQ_BITS);
+    debug_assert!(u64::from(mount_id) < DATA_TAG_BIT >> REQ_SEQ_BITS);
+    u64::from(mount_id) << REQ_SEQ_BITS | seq
+}
 
 /// Create a client on the node owning `ep`, talking to `server`.
 pub fn client_create<W: OrfsWorld>(
@@ -284,7 +298,7 @@ pub fn client_create<W: OrfsWorld>(
         config,
         asid,
         mount_id,
-        next_reqid: 1,
+        next_reqid: request_id(mount_id, 1),
         next_syscall: 1,
         pending: BTreeMap::new(),
         tx_ctxs: BTreeMap::new(),
@@ -978,13 +992,11 @@ fn send_write_request<W: OrfsWorld>(
     };
     cpu_charge(w, node, codec_cost());
     let header = req.encode();
-    let (reqid, ep, ch) = {
+    let reqid = alloc_reqid(w, cid, sid);
+    let (ep, ch) = {
         let c = w.orfs_mut().client_mut(cid);
-        let reqid = c.next_reqid;
-        c.next_reqid += 1;
-        c.pending.insert(reqid, Pending { syscall: sid });
         c.stats.requests += 1;
-        (reqid, c.ep, c.ch)
+        (c.ep, c.ch)
     };
     if len > WRITE_INLINE_MAX {
         // Announced write: header first; the payload follows as a separate
@@ -1701,5 +1713,23 @@ fn on_data<W: OrfsWorld>(w: &mut W, cid: OrfsClientId, sid: SyscallId, len: u64)
             advance_buffered_write(w, cid, sid);
         }
         _ => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_ids_of_distinct_clients_never_coincide() {
+        let seqs = [1, 2, 3, 1 << 20, (1 << REQ_SEQ_BITS) - 1];
+        let mut seen = std::collections::BTreeSet::new();
+        for mount_id in [1, 2, 3, 255, (1 << (63 - REQ_SEQ_BITS)) - 1] {
+            for &seq in &seqs {
+                let id = request_id(mount_id, seq);
+                assert_eq!(id & DATA_TAG_BIT, 0, "data bit stays free");
+                assert!(seen.insert(id), "mount {mount_id} seq {seq} reused {id:#x}");
+            }
+        }
     }
 }

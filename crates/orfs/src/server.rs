@@ -52,10 +52,9 @@ pub struct OrfsServer {
     /// Write payloads that overtook their announcement (possible on a
     /// delay-reordering fabric): stashed by data tag until the header
     /// arrives, then consumed directly instead of posting a buffer for
-    /// bytes that already passed. Keyed by tag *and* attributed to their
-    /// sender — per-client request ids restart at 1, so a stale entry from
-    /// one client must never satisfy another client's same-tag write
-    /// (PeerDown cleanup purges a dead client's stash).
+    /// bytes that already passed. Keyed by data tag (unique per client, as
+    /// request ids carry the client's mount id); the sender is kept so the
+    /// `PeerDown` cleanup can purge a dead client's stash.
     early_payloads: BTreeMap<u64, (Endpoint, Bytes)>,
     /// Kernel staging ring for outgoing replies.
     ring: VirtAddr,
@@ -326,22 +325,10 @@ pub fn server_on_event<W: OrfsWorld>(
             // overtook the announcement (delay-reordering fabric), or the
             // driver started assembling it before the staging buffer was
             // posted. Never a decodable request — consume it as data.
-            // Tags collide across clients (per-client reqids restart at
-            // 1), so a pending write is consumed only by *its own*
-            // client's payload; a colliding stranger's payload is stashed
-            // under its sender instead.
-            let own_pending = {
-                let s = w.orfs_mut().server_mut(sid);
-                if s.pending_writes
-                    .get(&tag)
-                    .is_some_and(|pw| pw.reply_to == from)
-                {
-                    s.pending_writes.remove(&tag)
-                } else {
-                    None
-                }
-            };
-            if let Some(pw) = own_pending {
+            // Request ids carry their client's mount id, so the tag alone
+            // names the write.
+            let pending = w.orfs_mut().server_mut(sid).pending_writes.remove(&tag);
+            if let Some(pw) = pending {
                 // The announcement was processed and a buffer posted, but
                 // the payload bounced past it: withdraw the useless post
                 // and apply the write from the bounced bytes.
@@ -395,8 +382,7 @@ pub fn server_on_event<W: OrfsWorld>(
                 w.orfs_mut().server_mut(sid).pending_writes.remove(&tag);
             }
             // And the dead client's stashed early payloads: never applied,
-            // never leaked, never misattributed to a later client reusing
-            // the same request ids.
+            // never leaked.
             w.orfs_mut()
                 .server_mut(sid)
                 .early_payloads
@@ -557,17 +543,8 @@ fn server_handle_request<W: OrfsWorld>(
                 // separate tagged message — unless it already overtook the
                 // announcement and was stashed.
                 let key = tag | crate::proto::DATA_TAG_BIT;
-                let early = {
-                    let s = w.orfs_mut().server_mut(sid);
-                    // Consume only the *announcing client's own* payload —
-                    // tags collide across clients (per-client reqids).
-                    if s.early_payloads.get(&key).is_some_and(|(f, _)| *f == from) {
-                        s.early_payloads.remove(&key).map(|(_, b)| b)
-                    } else {
-                        None
-                    }
-                };
-                if let Some(bytes) = early {
+                let early = w.orfs_mut().server_mut(sid).early_payloads.remove(&key);
+                if let Some((_, bytes)) = early {
                     let n = (bytes.len() as u64).min(len);
                     apply_write(w, sid, via, from, tag, handle, offset, &bytes[..n as usize]);
                     return;

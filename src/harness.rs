@@ -466,23 +466,26 @@ pub fn make_server_file(
     let fs = &mut w.orfs.server_mut(server).fs;
     let ino = fs.create(path, 0o644, now).expect("create");
     let chunk = 64 * 1024;
-    let mut buf = vec![0u8; chunk as usize];
+    // The pattern repeats every `PATTERN_PERIOD` bytes, so every chunk is a
+    // slice of one table starting at `off % PATTERN_PERIOD`.
+    let table: Vec<u8> = (0..PATTERN_PERIOD + chunk).map(pattern_byte).collect();
     let mut off = 0u64;
     while off < len {
         let n = chunk.min(len - off) as usize;
-        for (i, b) in buf[..n].iter_mut().enumerate() {
-            *b = pattern_byte(off + i as u64);
-        }
-        fs.write(ino, off, &buf[..n], now).expect("write");
+        let at = (off % PATTERN_PERIOD) as usize;
+        fs.write(ino, off, &table[at..at + n], now).expect("write");
         off += n as u64;
     }
     // Setup I/O is free: drain the accumulated cost.
     let _ = fs.take_cost();
 }
 
+/// Period of [`pattern_byte`].
+const PATTERN_PERIOD: u64 = 251;
+
 /// The deterministic file pattern used by tests to verify reads end-to-end.
 pub fn pattern_byte(offset: u64) -> u8 {
-    ((offset * 131 + 7) % 251) as u8
+    ((offset * 131 + 7) % PATTERN_PERIOD) as u8
 }
 
 /// Elapsed virtual time of `f`.

@@ -29,6 +29,23 @@ fn read_user_buf(fx: &knet::ClusterWorld, buf: &knet::harness::UBuf, len: usize)
 }
 
 #[test]
+fn server_fixture_files_hold_the_pattern_at_every_offset() {
+    // Several 64 kB fill chunks plus an odd tail: every chunk starts at a
+    // different phase of the pattern.
+    let len = 3 * 64 * 1024 + 12_345;
+    let (mut w, n0, _) = knet::build::two_nodes();
+    let ep = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
+    let server = knet_orfs::server_create(&mut w, ep, SimFs::with_defaults()).unwrap();
+    make_server_file(&mut w, server, "/odd", len);
+    let t = now(&w);
+    let fs = &mut w.orfs.server_mut(server).fs;
+    let ino = fs.lookup_path("/odd").unwrap();
+    let mut got = vec![0u8; len as usize];
+    assert_eq!(fs.read(ino, 0, &mut got, t).unwrap(), len as usize);
+    check_pattern(&got, 0);
+}
+
+#[test]
 fn direct_reads_deliver_correct_bytes_over_mx_and_gm() {
     for kind in [TransportKind::Mx, TransportKind::Gm] {
         let mut fx = fs_fixture(FsOpts {
@@ -350,4 +367,77 @@ fn two_clients_share_one_server_consistently() {
         .read_virt(ub.asid, ub.addr, &mut back)
         .unwrap();
     assert_eq!(&back, msg, "cross-transport, cross-client consistency");
+}
+
+#[test]
+fn concurrent_announced_writes_from_two_clients_stay_apart() {
+    // Two ORFA clients on their own nodes, one GM server endpoint. Each
+    // opens its own file, then both announce a 64 kB write (above
+    // WRITE_INLINE_MAX) at once: the first write of each client, so the
+    // two carry the same per-client sequence number. The server must land
+    // each payload in its own client's file and release all its staging.
+    let mut w = ClusterBuilder::new()
+        .nodes(3, CpuModel::xeon_2600())
+        .build();
+    let server_ep = w
+        .open_gm(
+            NodeId(0),
+            GmPortConfig::kernel()
+                .with_physical_api()
+                .with_regcache(1024),
+        )
+        .unwrap();
+    let server = knet_orfs::server_create(&mut w, server_ep, SimFs::with_defaults()).unwrap();
+    const LEN: u64 = 64 * 1024;
+    let mut clients = Vec::new();
+    for i in 0..2u32 {
+        let path = format!("/w{i}");
+        make_server_file(&mut w, server, &path, LEN);
+        let node = NodeId(1 + i);
+        let user = ubuf(&mut w, node, LEN);
+        let ep = w
+            .open_gm(node, GmPortConfig::user(user.asid).with_regcache(1024))
+            .unwrap();
+        let cid = knet_orfs::client_create(
+            &mut w,
+            ep,
+            server_ep,
+            ClientKind::UserLib,
+            user.asid,
+            VfsConfig::default(),
+        )
+        .unwrap();
+        let fd = fsops::open(&mut w, cid, &path, true).unwrap();
+        let data: Vec<u8> = (0..LEN).map(|j| (j % 7) as u8 + 10 * i as u8).collect();
+        w.os.node_mut(node)
+            .write_virt(user.asid, user.addr, &data)
+            .unwrap();
+        clients.push((cid, fd, user, path, data));
+    }
+    let ops: Vec<_> = clients
+        .iter()
+        .map(|(cid, fd, user, ..)| knet_orfs::op_write(&mut w, *cid, *fd, user.memref(LEN), 0))
+        .collect();
+    let outcome = run_until(&mut w, |w| {
+        clients
+            .iter()
+            .zip(&ops)
+            .all(|((cid, ..), op)| w.orfs.client(*cid).completed.iter().any(|(s, _)| s == op))
+    });
+    assert_eq!(outcome, RunOutcome::Satisfied, "both writes resolve");
+    for ((cid, _, _, path, data), op) in clients.iter().zip(&ops) {
+        assert_eq!(
+            knet::harness::orfs_wait(&mut w, *cid, *op),
+            Ok(knet_orfs::SysRet::Bytes(LEN)),
+            "write to {path}"
+        );
+        let t = now(&w);
+        let fs = &mut w.orfs.server_mut(server).fs;
+        let ino = fs.lookup_path(path).unwrap();
+        let mut got = vec![0u8; LEN as usize];
+        fs.read(ino, 0, &mut got, t).unwrap();
+        assert!(&got == data, "{path} holds its own client's bytes");
+    }
+    run_to_quiescence(&mut w);
+    assert_eq!(w.orfs.server(server).staging_len(), 0, "staging drained");
 }
