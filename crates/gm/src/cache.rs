@@ -145,14 +145,15 @@ fn register_one<W: GmWorld>(
     // Kernel direct-map memory is unswappable: no pinning, translation by
     // subtraction. Only the NIC-table entry is needed (stock GM requires
     // kernel buffers to be registered like any other, §2.2.2 / Table 1).
-    let phys = if asid.is_kernel() {
-        page.kernel_to_phys()
-            .ok_or(knet_core::NetError::BadAddressClass)?
+    let (frame, phys) = if asid.is_kernel() {
+        let phys = page
+            .kernel_to_phys()
+            .ok_or(knet_core::NetError::BadAddressClass)?;
+        (FrameIdx::from_phys(phys), phys)
     } else {
-        w.os_mut().node_mut(node).pin_range(asid, page, 1)?;
-        w.os().node(node).space(asid)?.translate(page)?
+        let frame = w.os_mut().node_mut(node).pin_page(asid, page)?;
+        (frame, frame.base().add(page.page_offset()))
     };
-    let frame = FrameIdx::from_phys(phys);
     let tt = &mut w.nics_mut().get_mut(nic).ttable;
     if let Err(e) = tt.insert(
         TransKey {

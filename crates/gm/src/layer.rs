@@ -429,13 +429,12 @@ pub fn gm_register<W: GmWorld>(
         }
         pages += 1;
         // Pin (user memory only) and resolve the physical page.
-        let phys = if page.is_kernel() {
-            page.kernel_to_phys().expect("kernel page")
+        let (frame, phys) = if page.is_kernel() {
+            (None, page.kernel_to_phys().expect("kernel page"))
         } else {
-            w.os_mut().node_mut(node).pin_range(asid, page, 1)?;
-            w.os().node(node).space(asid)?.translate(page)?
+            let frame = w.os_mut().node_mut(node).pin_page(asid, page)?;
+            (Some(frame), frame.base().add(page.page_offset()))
         };
-        let frame = (!page.is_kernel()).then(|| FrameIdx::from_phys(phys));
         // Install in the NIC table; roll back on overflow.
         let tt = &mut w.nics_mut().get_mut(nic).ttable;
         if let Err(e) = tt.insert(TransKey { asid, vpn: key.vpn }, phys) {

@@ -11,8 +11,9 @@
 //! * no explicit registration: small messages are inlined by PIO, medium
 //!   messages (128 B–32 kB) are copied through pre-pinned rings on both
 //!   sides, large messages rendezvous and are pinned internally (§5.1);
-//! * the paper's send-copy-removal optimization (`no_send_copy`) DMAs
-//!   physically contiguous medium messages straight from the source, and the
+//! * the paper's send-copy-removal optimization (`no_send_copy`, on by
+//!   default) DMAs physically contiguous medium messages straight from the
+//!   source; [`MxOpts::STOCK`] is stock MX 1.0, which always copies. The
 //!   *predicted* receive-side removal (`no_recv_copy`) is implemented as the
 //!   "future MX" whose receive processing lives in the NIC (§5.1).
 
@@ -50,7 +51,7 @@ pub enum MxMode {
 }
 
 /// The copy-removal switches of §5.1.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct MxOpts {
     /// Skip the send-side medium copy for physically contiguous kernel
     /// buffers (implemented in the paper: +17 % at 32 kB).
@@ -58,6 +59,29 @@ pub struct MxOpts {
     /// Skip the receive-side medium copy (the paper's *prediction*, possible
     /// once receive processing moves into the NIC: another +15 %).
     pub no_recv_copy: bool,
+}
+
+impl MxOpts {
+    /// Stock MX 1.0: every medium send is copied through the pre-pinned
+    /// ring. The paper measured its MX series on it, so the figure
+    /// regenerators keep it as their baseline.
+    pub const STOCK: MxOpts = MxOpts {
+        no_send_copy: false,
+        no_recv_copy: false,
+    };
+}
+
+impl Default for MxOpts {
+    /// The send-copy removal the paper implemented is on: a medium send
+    /// from one contiguous kernel-virtual or physical segment is DMAed
+    /// straight from the source. Sends from user memory or from several
+    /// segments still copy, and the receive side always copies.
+    fn default() -> Self {
+        MxOpts {
+            no_send_copy: true,
+            no_recv_copy: false,
+        }
+    }
 }
 
 /// Endpoint configuration.
@@ -79,6 +103,8 @@ impl MxEndpointConfig {
         }
     }
 
+    /// An in-kernel endpoint with the default [`MxOpts`]: medium sends from
+    /// one contiguous kernel or physical segment skip the ring copy.
     pub fn kernel() -> Self {
         MxEndpointConfig {
             mode: MxMode::Kernel,
@@ -454,16 +480,29 @@ fn gather_payload<W: MxWorld>(w: &mut W, node: NodeId, iov: &IoVec) -> Result<By
     data
 }
 
-/// Can the send-side copy be elided for this resolution? (§5.1: possible for
-/// physically contiguous buffers whose residency the kernel guarantees —
-/// kernel virtual or physical address classes.)
-fn send_copy_avoidable(ep: &MxEndpoint, iov: &IoVec, segs: &[PhysSeg]) -> bool {
-    ep.opts.no_send_copy
-        && segs.len() == 1
-        && matches!(
+/// Can the send-side copy of a medium message be elided? (§5.1: possible
+/// for physically contiguous buffers whose residency the kernel guarantees —
+/// kernel virtual or physical address classes resolving to one segment.)
+/// The resolution never pins and lives in the layer's recycled scratch.
+fn send_copy_avoidable<W: MxWorld>(
+    w: &mut W,
+    from: MxEndpointId,
+    node: NodeId,
+    iov: &IoVec,
+) -> Result<bool, NetError> {
+    if !w.mx().ep(from)?.opts.no_send_copy
+        || !matches!(
             iov.uniform_class(),
             Some(AddrClass::KernelVirtual) | Some(AddrClass::Physical)
         )
+    {
+        return Ok(false);
+    }
+    let mut resolution = std::mem::take(&mut w.mx_mut().scratch.resolution);
+    let contiguous = resolve_iovec_into(w.os_mut().node_mut(node), iov, false, &mut resolution)
+        .map(|()| resolution.segs.len() == 1);
+    w.mx_mut().scratch.resolution = resolution;
+    contiguous
 }
 
 /// `mx_isend`: send the (possibly vectorial) `iov` to `dest` with `tag`.
@@ -587,29 +626,7 @@ fn mx_isend_admitted<W: MxWorld>(
             knet_simcore::emit_at(w, node.0, host_done, ev);
         }
         MxProtocol::Medium => {
-            let avoidable = {
-                // Resolve without pinning: kernel/physical classes resolve
-                // freely; user memory is read through the copy path anyway.
-                // The resolution lives in the layer's recycled scratch.
-                let mut resolution = std::mem::take(&mut w.mx_mut().scratch.resolution);
-                resolution.clear();
-                if iov.uniform_class() == Some(AddrClass::KernelVirtual)
-                    || iov.uniform_class() == Some(AddrClass::Physical)
-                {
-                    if let Err(e) =
-                        resolve_iovec_into(w.os_mut().node_mut(node), iov, false, &mut resolution)
-                    {
-                        w.mx_mut().scratch.resolution = resolution;
-                        return Err(e);
-                    }
-                }
-                let avoidable = {
-                    let e = w.mx().ep(from)?;
-                    send_copy_avoidable(e, iov, &resolution.segs)
-                };
-                w.mx_mut().scratch.resolution = resolution;
-                avoidable
-            };
+            let avoidable = send_copy_avoidable(w, from, node, iov)?;
             let data = gather_payload(w, node, iov)?;
             let host_cost = if avoidable {
                 // No copy: just the doorbell. (The paper's optimization.)

@@ -9,8 +9,10 @@
 //! Protocol engine (§5.1):
 //! * **small** (< 128 B): PIO-inlined;
 //! * **medium** (128 B – 32 kB): copied through pre-pinned rings on both
-//!   sides — including the paper's send-copy-removal optimization and the
-//!   *predicted* receive-copy removal as a simulated "future MX";
+//!   sides, except that the send side skips its copy for one contiguous
+//!   kernel-virtual or physical segment (the paper's send-copy removal, on
+//!   by default; `MxOpts::STOCK` is stock MX 1.0). The *predicted*
+//!   receive-copy removal is a simulated "future MX";
 //! * **large** (> 32 kB): rendezvous (RTS/CTS), internally pinned,
 //!   zero-copy DMA on both ends.
 

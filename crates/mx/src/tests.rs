@@ -228,7 +228,7 @@ fn kernel_latency_equals_user_latency() {
     // communications."
     for size in [1u64, 64, 1024, 4096] {
         let u = user_latency(size);
-        let k = kernel_latency(size, MxOpts::default());
+        let k = kernel_latency(size, MxOpts::STOCK);
         let diff = (u - k).abs();
         assert!(
             diff <= 0.40,
@@ -266,7 +266,7 @@ fn one_way_time(size: u64, opts: MxOpts) -> SimTime {
 fn send_copy_removal_gains_match_figure_6() {
     // §5.1: removing the send-side copy buys ≈17 % at 32 kB...
     let size = 32 * 1024;
-    let std = one_way_time(size, MxOpts::default());
+    let std = one_way_time(size, MxOpts::STOCK);
     let nosend = one_way_time(
         size,
         MxOpts {
@@ -300,7 +300,7 @@ fn send_copy_removal_gains_match_figure_6() {
 fn single_page_copy_removal_gains_about_nine_percent() {
     // §5.1: "The most common case would be a single-page transfer. In this
     // case, our optimization gives a 9 % improvement."
-    let std = one_way_time(PAGE_SIZE, MxOpts::default());
+    let std = one_way_time(PAGE_SIZE, MxOpts::STOCK);
     let nosend = one_way_time(
         PAGE_SIZE,
         MxOpts {

@@ -81,9 +81,6 @@ impl Nic {
 #[derive(Default)]
 pub struct NicLayer {
     nics: Vec<Nic>,
-    /// Recycled gather buffer for [`dma_gather`]: one payload copy per
-    /// chunk (into the packet's `Bytes`), no intermediate `Vec` per DMA.
-    gather_scratch: Vec<u8>,
     /// Installed fault plan, if any. `None` keeps the fabric perfect and
     /// consumes no randomness (bit-identical to the pre-fault simulator).
     fault: Option<FaultState>,
@@ -330,7 +327,8 @@ pub trait NicWorld: OsWorld {
 
 /// DMA from host memory into the NIC: gathers the bytes described by `segs`
 /// from the node's physical memory and reserves the DMA engine starting no
-/// earlier than `ready`. Returns the data and the completion instant.
+/// earlier than `ready`. Returns the data and the completion instant. The
+/// bytes are copied once, straight into the packet's buffer.
 pub fn dma_gather<W: NicWorld>(
     w: &mut W,
     nic: NicId,
@@ -339,20 +337,13 @@ pub fn dma_gather<W: NicWorld>(
 ) -> Result<(Bytes, SimTime), OsError> {
     let now = knet_simcore::now(w);
     let node = w.nics().get(nic).node;
-    let mut data = std::mem::take(&mut w.nics_mut().gather_scratch);
-    data.clear();
-    data.reserve(PhysSeg::total_len(segs) as usize);
-    if let Err(e) = w.os().node(node).mem.gather(segs, &mut data) {
-        w.nics_mut().gather_scratch = data;
-        return Err(e);
-    }
-    let bytes = Bytes::copy_from_slice(&data);
+    let len = PhysSeg::total_len(segs);
+    let mem = &w.os().node(node).mem;
+    let bytes = Bytes::try_fill(len as usize, |out| mem.gather(segs, out))?;
     let n = w.nics_mut().get_mut(nic);
-    let dur = n.model.dma_setup * segs.len().max(1) as u64
-        + n.model.dma_bw.transfer_time(data.len() as u64);
+    let dur = n.model.dma_setup * segs.len().max(1) as u64 + n.model.dma_bw.transfer_time(len);
     let (_, end) = n.dma.acquire(ready.max(now), dur);
-    n.stats.dma_from_host_bytes += data.len() as u64;
-    w.nics_mut().gather_scratch = data;
+    n.stats.dma_from_host_bytes += len;
     Ok((bytes, end))
 }
 

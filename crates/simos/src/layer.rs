@@ -147,6 +147,15 @@ impl NodeOs {
         Ok(frames)
     }
 
+    /// Pin the one user page containing `addr` and return its frame: the
+    /// single-page [`pin_range`](Self::pin_range), with no list to allocate.
+    pub fn pin_page(&mut self, asid: Asid, addr: VirtAddr) -> Result<FrameIdx, OsError> {
+        let space = self.spaces.get(&asid.0).ok_or(OsError::NoSuchSpace)?;
+        let frame = space.frame_of(addr)?;
+        self.mem.pin(frame)?;
+        Ok(frame)
+    }
+
     /// Unpin previously pinned frames.
     pub fn unpin_frames(&mut self, frames: &[FrameIdx]) -> Result<(), OsError> {
         for &f in frames {

@@ -258,12 +258,15 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Gather bytes described by a segment list into `out`.
-    pub fn gather(&self, segs: &[PhysSeg], out: &mut Vec<u8>) -> Result<(), OsError> {
+    /// Gather the bytes described by a segment list into `out`, which must
+    /// be exactly [`PhysSeg::total_len`] bytes long.
+    pub fn gather(&self, segs: &[PhysSeg], out: &mut [u8]) -> Result<(), OsError> {
+        debug_assert_eq!(out.len() as u64, PhysSeg::total_len(segs));
+        let mut start = 0;
         for s in segs {
-            let start = out.len();
-            out.resize(start + s.len as usize, 0);
-            self.read(s.addr, &mut out[start..])?;
+            let end = start + s.len as usize;
+            self.read(s.addr, &mut out[start..end])?;
+            start = end;
         }
         Ok(())
     }
@@ -396,7 +399,7 @@ mod tests {
         ];
         let data: Vec<u8> = (0..50u8).collect();
         assert_eq!(m.scatter(&segs, &data).unwrap(), 50);
-        let mut out = Vec::new();
+        let mut out = vec![0u8; 50];
         m.gather(&segs, &mut out).unwrap();
         assert_eq!(out, data);
     }

@@ -51,7 +51,7 @@ proptest! {
         let (base, _) = maps[0];
         node.write_virt(asid, base, b"xlate").unwrap();
         let segs = node.translate_range(asid, base, 5).unwrap();
-        let mut out = Vec::new();
+        let mut out = [0u8; 5];
         node.mem.gather(&segs, &mut out).unwrap();
         prop_assert_eq!(&out, b"xlate");
         // Tear everything down: all frames come back.

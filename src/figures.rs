@@ -120,6 +120,13 @@ fn gm_kernel_pair(
     (ea, eb, ra, rb)
 }
 
+/// A stock MX 1.0 kernel endpoint, which copies every medium send through
+/// the ring. The paper measured its MX series (figures 5–8, Table 1) before
+/// send-copy removal, so the regenerators pin this baseline.
+fn stock_mx_kernel() -> MxEndpointConfig {
+    MxEndpointConfig::kernel().with_opts(MxOpts::STOCK)
+}
+
 fn clamp(m: &MemRef, len: u64) -> MemRef {
     match *m {
         MemRef::UserVirtual { asid, addr, len: l } => MemRef::user(asid, addr, l.min(len)),
@@ -192,8 +199,8 @@ pub fn fig5a() -> Figure {
     for &n in &sizes {
         let (mut w, n0, n1) = two_nodes();
         let cq = w.new_cq();
-        let ea = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
-        let eb = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
+        let ea = w.open_mx_cq(n0, stock_mx_kernel(), cq).unwrap();
+        let eb = w.open_mx_cq(n1, stock_mx_kernel(), cq).unwrap();
         let ka = kbuf(&mut w, n0, 4096.max(n));
         let kb = kbuf(&mut w, n1, 4096.max(n));
         let us = transport_pingpong_us(&mut w, ea, eb, ka.iov(n), kb.iov(n), 5);
@@ -252,8 +259,8 @@ pub fn fig5b() -> Figure {
     for &n in &sizes {
         let (mut w, n0, n1) = two_nodes();
         let cq = w.new_cq();
-        let ea = w.open_mx_cq(n0, MxEndpointConfig::kernel(), cq).unwrap();
-        let eb = w.open_mx_cq(n1, MxEndpointConfig::kernel(), cq).unwrap();
+        let ea = w.open_mx_cq(n0, stock_mx_kernel(), cq).unwrap();
+        let eb = w.open_mx_cq(n1, stock_mx_kernel(), cq).unwrap();
         let ka = kbuf(&mut w, n0, (1 << 20).max(n));
         let kb = kbuf(&mut w, n1, (1 << 20).max(n));
         let pa = MemRef::physical(ka.addr.kernel_to_phys().unwrap(), n);
@@ -304,7 +311,7 @@ pub fn fig6() -> Figure {
     out.push(user);
 
     for (name, opts) in [
-        ("MX Kernel", MxOpts::default()),
+        ("MX Kernel", MxOpts::STOCK),
         (
             "MX Kernel No-send-copy",
             MxOpts {
@@ -442,8 +449,8 @@ pub fn fs_fixture(opts: FsOpts) -> FsFixture {
 
     let (client_ep, server_ep) = match opts.kind {
         TransportKind::Mx => {
-            let c = w.open_mx(n0, MxEndpointConfig::kernel()).unwrap();
-            let s = w.open_mx(n1, MxEndpointConfig::kernel()).unwrap();
+            let c = w.open_mx(n0, stock_mx_kernel()).unwrap();
+            let s = w.open_mx(n1, stock_mx_kernel()).unwrap();
             (c, s)
         }
         TransportKind::Gm => {
@@ -661,8 +668,8 @@ fn sock_fixture(
     let bb = ubuf(&mut w, n1, 2 << 20);
     let (ea, eb) = match kind {
         TransportKind::Mx => (
-            w.open_mx(n0, MxEndpointConfig::kernel()).unwrap(),
-            w.open_mx(n1, MxEndpointConfig::kernel()).unwrap(),
+            w.open_mx(n0, stock_mx_kernel()).unwrap(),
+            w.open_mx(n1, stock_mx_kernel()).unwrap(),
         ),
         TransportKind::Gm => {
             let cfg = GmPortConfig::kernel()
@@ -764,25 +771,31 @@ pub struct Table1Row {
 
 /// Table 1: the summary comparison.
 pub fn table1() -> Vec<Table1Row> {
-    let f5a = fig5a();
+    table1_from(&fig5a(), &fig7(true), &fig7(false), &fig8a(), &fig8b())
+}
+
+/// Table 1 read off already-regenerated figures 5a, 7a, 7b, 8a and 8b.
+pub fn table1_from(
+    f5a: &Figure,
+    f7a: &Figure,
+    f7b: &Figure,
+    f8a: &Figure,
+    f8b: &Figure,
+) -> Vec<Table1Row> {
     let gm_k = f5a.series[1].exact(1).unwrap_or(f64::NAN);
     let gm_u = f5a.series[0].exact(1).unwrap_or(f64::NAN);
     let mx_k = f5a.series[3].exact(1).unwrap_or(f64::NAN);
     let mx_u = f5a.series[2].exact(1).unwrap_or(f64::NAN);
 
-    let f7b = fig7(false);
     let buf_gm = f7b.series[0].exact(65536).unwrap_or(f64::NAN);
     let buf_mx = f7b.series[1].exact(65536).unwrap_or(f64::NAN);
 
-    let f7a = fig7(true);
     let dir_gm = f7a.series[0].exact(1 << 20).unwrap_or(f64::NAN);
     let dir_mx = f7a.series[1].exact(1 << 20).unwrap_or(f64::NAN);
 
-    let f8a = fig8a();
     let sg_lat = f8a.series[0].exact(1).unwrap_or(f64::NAN);
     let sm_lat = f8a.series[1].exact(1).unwrap_or(f64::NAN);
 
-    let f8b = fig8b();
     let sg_bw = f8b.series[0].peak();
     let sm_bw = f8b.series[1].peak();
 

@@ -1,6 +1,6 @@
 //! Plain-text rendering of figures and tables for the benchmark binaries.
 
-use crate::figures::{Figure, Table1Row};
+use crate::figures::{self, Figure, Table1Row};
 
 /// Render a figure as an aligned text table (one column per series).
 pub fn render_figure(fig: &Figure) -> String {
@@ -70,6 +70,72 @@ pub fn render_table1(rows: &[Table1Row]) -> String {
         out.push_str(&format!("{:<46}  {:<42}  {:<42}\n", r.metric, r.gm, r.mx));
     }
     out
+}
+
+/// The paper ledger, `BENCH_paper.json`: Table 1 and every point of
+/// figures 5a, 5b, 6, 7a, 7b, 8a and 8b, each `y` printed as the shortest
+/// decimal that reads back to the same `f64`. Virtual time makes it
+/// deterministic, so the committed file must regenerate byte for byte.
+pub fn paper_ledger() -> String {
+    let (f5a, f7a, f7b, f8a, f8b) = (
+        figures::fig5a(),
+        figures::fig7(true),
+        figures::fig7(false),
+        figures::fig8a(),
+        figures::fig8b(),
+    );
+    let table1 = figures::table1_from(&f5a, &f7a, &f7b, &f8a, &f8b);
+    let figs = [f5a, figures::fig5b(), figures::fig6(), f7a, f7b, f8a, f8b];
+
+    let rows: Vec<String> = table1
+        .iter()
+        .map(|r| {
+            format!(
+                "    {{\"metric\": {}, \"gm\": {}, \"mx\": {}}}",
+                json_str(r.metric),
+                json_str(&r.gm),
+                json_str(&r.mx)
+            )
+        })
+        .collect();
+    let figs: Vec<String> = figs
+        .iter()
+        .map(|fig| {
+            let series: Vec<String> = fig
+                .series
+                .iter()
+                .map(|s| {
+                    let points: Vec<String> = s
+                        .points
+                        .iter()
+                        .map(|p| format!("[{}, {}]", p.x, p.y))
+                        .collect();
+                    format!(
+                        "      {{\"name\": {}, \"points\": [{}]}}",
+                        json_str(&s.name),
+                        points.join(", ")
+                    )
+                })
+                .collect();
+            format!(
+                "    {{\"id\": {}, \"title\": {}, \"x_label\": {}, \"y_label\": {}, \"series\": [\n{}\n    ]}}",
+                json_str(fig.id),
+                json_str(fig.title),
+                json_str(fig.x_label),
+                json_str(fig.y_label),
+                series.join(",\n")
+            )
+        })
+        .collect();
+    format!(
+        "{{\n  \"bench\": \"paper\",\n  \"table1\": [\n{}\n  ],\n  \"figures\": [\n{}\n  ]\n}}\n",
+        rows.join(",\n"),
+        figs.join(",\n")
+    )
+}
+
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
 }
 
 fn truncate(s: &str, n: usize) -> String {

@@ -266,11 +266,11 @@ proptest! {
 fn chaos_fingerprints_match_golden() {
     assert_eq!(
         chaos_fingerprint(TransportKind::Mx, 9, 0xC0FFEE, 8, false),
-        (144, 10_454_617_983_687_255_829)
+        (144, 7_377_738_851_960_727_656)
     );
     assert_eq!(
         chaos_fingerprint(TransportKind::Mx, 9, 0x5EED, 5, true),
-        (138, 6_056_646_812_079_556_699)
+        (138, 7_594_895_245_483_513_376)
     );
     assert_eq!(
         chaos_fingerprint(TransportKind::Gm, 9, 0xC0FFEE, 8, false),
